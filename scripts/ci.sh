@@ -4,6 +4,9 @@
 #
 # Stages (each one is a ctest label selection over the same build tree):
 #   build      configure (RelWithDebInfo) + compile everything
+#   counter    nm check: tools/chaos and tools/check link the toolchain's
+#              operator new, and mm_tests still links the counting one
+#              (common/alloc_count.cpp)
 #   unit       the gtest suite (everything without a stage label) — tier 1
 #   smoke      bench smoke: trimmed microbench + engine bench + perf record
 #   chaos      fault-injection campaigns: safety, Byzantine, planted+replay
@@ -53,6 +56,23 @@ build_stage() {
   cmake --build "$BUILD_DIR" -j
 }
 
+counter_stage() {
+  # nm output is captured first: `nm | grep -q` under pipefail would turn
+  # grep's early exit (SIGPIPE to nm) into a false "absent".
+  local sym='mm::common::alloc_counts' bin syms
+  for bin in tools/chaos tools/check tests/mm_tests; do
+    syms=$(nm -C "$BUILD_DIR/$bin") || return 1
+    if [ "$bin" = tests/mm_tests ]; then
+      grep -qF "$sym" <<< "$syms" \
+        || { echo "FAIL: $bin no longer links the counting operator new"; return 1; }
+    elif grep -qF "$sym" <<< "$syms"; then
+      echo "FAIL: $bin links the counting operator new ($sym)"
+      return 1
+    fi
+  done
+  echo "counting operator new: in mm_tests, absent from tools/chaos and tools/check"
+}
+
 ctest_label() {
   # -L runs one stage's label; unit excludes all stage labels instead.
   # -j needs an explicit value: a bare `-j` would swallow the -L/-LE flag.
@@ -60,6 +80,7 @@ ctest_label() {
 }
 
 run_stage build build_stage
+run_stage counter counter_stage
 run_stage unit ctest_label -LE 'smoke|chaos|explore|obs|sanitize|tsan'
 run_stage smoke ctest_label -L smoke
 run_stage chaos ctest_label -L chaos

@@ -1,13 +1,19 @@
 // Process-wide heap-allocation counting — the test hook behind the
 // simulator's "zero heap allocations per steady-state step" invariant.
 //
-// Linking this translation unit replaces the global operator new/delete with
-// thin wrappers that bump relaxed atomic counters before delegating to
-// malloc/free. The counters are process-wide and monotone; tests snapshot
-// them around a window (AllocCounts::operator-) and assert on the delta.
-// Overhead is one relaxed fetch_add per allocation, so the counters stay on
-// in every binary that references this header — which is what lets
-// bench_micro publish allocs_per_step/bytes_per_step in BENCH_runtime.json.
+// alloc_count.cpp replaces the global operator new/delete with thin wrappers
+// that bump relaxed atomic counters before delegating to malloc/free. The
+// counters are process-wide and monotone; tests snapshot them around a window
+// (AllocCounts::operator-) and assert on the delta.
+//
+// The replacement is opt-in. It is built as the CMake OBJECT library
+// mm_alloc_count, not as part of mm_common, and only mm_tests and bench_micro
+// link it (bench_micro publishes allocs_per_step/bytes_per_step in
+// BENCH_runtime.json). Every other binary — tools, experiment benches, the
+// benchmark harness — uses the toolchain's operator new, because the shared
+// counters cost every allocation on every thread a contended RMW. A binary
+// that includes this header must link mm_alloc_count, or the two functions
+// below are undefined at link time.
 //
 // Under AddressSanitizer the replacement is compiled out (ASan owns operator
 // new for poisoning/quarantine); alloc_counting_active() reports false and

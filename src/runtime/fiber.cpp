@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -26,6 +27,7 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
                                     std::size_t size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_old,
                                      std::size_t* size_old);
+void __asan_unpoison_memory_region(const volatile void* addr, std::size_t size);
 }
 #endif
 
@@ -56,6 +58,62 @@ std::size_t page_size() {
 
 std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) / align * align;
+}
+
+// -- Per-thread cache of guarded stack mappings ------------------------------
+// Why and what: see "Stacks" in fiber.hpp. take() is LIFO, so a new fiber
+// gets the stack whose pages were touched most recently; its top pages are
+// usually still resident and in cache.
+class StackCache {
+ public:
+  ~StackCache();
+
+  /// Most recently parked mapping of exactly `map_bytes`, or null.
+  void* take(std::size_t map_bytes) noexcept {
+    for (std::size_t i = size_; i-- > 0;) {
+      if (slots_[i].bytes == map_bytes) {
+        void* base = slots_[i].base;
+        slots_[i] = slots_[--size_];
+        return base;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Park a mapping; false (caller unmaps) when the list is full.
+  bool give(void* base, std::size_t map_bytes) noexcept {
+    if (size_ == slots_.size()) return false;
+    slots_[size_++] = Slot{base, map_bytes};
+    return true;
+  }
+
+ private:
+  struct Slot {
+    void* base;
+    std::size_t bytes;
+  };
+  std::array<Slot, Fiber::kStackCacheMappings> slots_{};
+  std::size_t size_ = 0;
+};
+
+thread_local StackCache tl_stack_cache;
+// Set once tl_stack_cache is destroyed: a fiber destroyed later in thread
+// teardown (say, owned by another thread_local or by a static at exit) must
+// unmap directly instead of touching the dead cache. A trivially destructible
+// flag stays readable for the whole thread lifetime.
+thread_local bool tl_stack_cache_closed = false;
+
+StackCache::~StackCache() {
+  tl_stack_cache_closed = true;
+  for (std::size_t i = 0; i < size_; ++i) ::munmap(slots_[i].base, slots_[i].bytes);
+}
+
+void* take_cached_stack(std::size_t map_bytes) noexcept {
+  return tl_stack_cache_closed ? nullptr : tl_stack_cache.take(map_bytes);
+}
+
+void release_stack(void* map, std::size_t map_bytes) noexcept {
+  if (tl_stack_cache_closed || !tl_stack_cache.give(map, map_bytes)) ::munmap(map, map_bytes);
 }
 
 }  // namespace
@@ -183,13 +241,22 @@ Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
   const std::size_t page = page_size();
   stack_bytes_ = round_up(stack_bytes < 4 * page ? 4 * page : stack_bytes, page);
   map_bytes_ = stack_bytes_ + page;  // + guard page
-  stack_map_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  MM_ASSERT_MSG(stack_map_ != MAP_FAILED, "fiber stack mmap failed");
-  // Guard page at the low end: stack overflow faults instead of corrupting
-  // the neighbouring fiber's stack.
-  MM_ASSERT(::mprotect(stack_map_, page, PROT_NONE) == 0);
+  stack_map_ = take_cached_stack(map_bytes_);
+  if (stack_map_ == nullptr) {
+    stack_map_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    MM_ASSERT_MSG(stack_map_ != MAP_FAILED, "fiber stack mmap failed");
+    // Guard page at the low end: stack overflow faults instead of corrupting
+    // the neighbouring fiber's stack. It stays PROT_NONE while the mapping
+    // sits in the stack cache and through every reuse.
+    MM_ASSERT(::mprotect(stack_map_, page, PROT_NONE) == 0);
+  }
   stack_lo_ = static_cast<char*>(stack_map_) + page;
+#if defined(MM_FIBER_ASAN)
+  // A reused stack's previous owner was abandoned mid-call (its last act was
+  // the switch out of run_entry), so its frames' redzones are still poisoned.
+  __asan_unpoison_memory_region(stack_lo_, stack_bytes_);
+#endif
   init_context();
 }
 
@@ -213,7 +280,7 @@ Fiber::~Fiber() {
   delete static_cast<ucontext_t*>(uctx_);
   delete static_cast<ucontext_t*>(caller_uctx_);
 #endif
-  if (stack_map_ != nullptr) ::munmap(stack_map_, map_bytes_);
+  if (stack_map_ != nullptr) release_stack(stack_map_, map_bytes_);
 }
 
 void Fiber::run_entry(Fiber* self) {

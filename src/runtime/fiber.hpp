@@ -9,6 +9,19 @@
 // two semaphore round-trips across OS threads — no syscalls, no kernel
 // context switch, no scheduler latency.
 //
+// Stacks: a fiber's private stack is one mapping with a PROT_NONE guard page
+// at its low end, so an overflow faults. Fresh mappings cost mmap + mprotect
+// and, on exit, munmap — kernel work under the process-wide mm lock that
+// would dominate short simulation trials and serialize parallel trial
+// workers. So ~Fiber parks the whole mapping, guard page included and still
+// PROT_NONE, on a per-thread free list keyed by mapping size, and the next
+// fiber created on that thread with the same size reuses it without a
+// syscall. The list holds at most kStackCacheMappings (64) per thread;
+// beyond that, and at thread exit, mappings are unmapped. Reuse is
+// invisible to algorithms: nothing reads a stack slot it did not write.
+// FiberStackPool (guardless, for dense populations) and caller-provided
+// stacks bypass the cache.
+//
 // On x86-64 the switch is a hand-rolled assembly routine (callee-saved GPRs
 // only — no code run on these fibers alters the x87/SSE control words, so
 // the switch deliberately skips them), and resume()/yield()
@@ -68,7 +81,13 @@ class Fiber {
   /// algorithm bodies are shallow, and pages are committed only when touched.
   static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
 
-  /// Create a suspended fiber that will run `entry` on first resume().
+  /// Most private stack mappings a thread keeps parked for reuse (see the
+  /// header comment); the rest are unmapped when their fibers die.
+  static constexpr std::size_t kStackCacheMappings = 64;
+
+  /// Create a suspended fiber that will run `entry` on first resume(), on a
+  /// private guarded stack (reused from this thread's cache when one of the
+  /// same size is parked there; see the header comment).
   /// `entry` must not throw and must return (or yield forever); destroying a
   /// fiber that is suspended mid-entry skips the destructors of everything
   /// live on its stack, so owners drain fibers to completion first.

@@ -1,15 +1,21 @@
 // Tests for the parallel trial engine: MM_JOBS resolution, index-ordered
 // results, deterministic equivalence of parallel and sequential sweeps
 // (consensus and Ω), exception propagation (first-seed-wins, no deadlock),
-// and the sweep_termination seed contract (seed, seed+1, ...).
+// the sweep_termination seed contract (seed, seed+1, ...), and that trials
+// on a warm worker thread reuse fiber stacks without kernel work.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/trial.hpp"
 #include "exec/jobs.hpp"
 #include "exec/parallel_map.hpp"
+#include "fiber_probe.hpp"
 #include "graph/generators.hpp"
 
 namespace mm {
@@ -132,6 +138,78 @@ TEST(TrialEngine, OmegaTrialsIdenticalAcrossJobCounts) {
     EXPECT_EQ(par[i].others_writes_per_1k, seq[i].others_writes_per_1k);
     EXPECT_EQ(par[i].others_reads_per_1k, seq[i].others_reads_per_1k);
   }
+}
+
+void expect_same_trial(const core::ConsensusTrialResult& a,
+                       const core::ConsensusTrialResult& b) {
+  EXPECT_EQ(a.agreement, b.agreement);
+  EXPECT_EQ(a.validity, b.validity);
+  EXPECT_EQ(a.all_correct_decided, b.all_correct_decided);
+  EXPECT_EQ(a.decision, b.decision);
+  EXPECT_EQ(a.max_decided_round, b.max_decided_round);
+  EXPECT_EQ(a.steps_used, b.steps_used);
+  EXPECT_EQ(a.msgs_sent, b.msgs_sent);
+  EXPECT_EQ(a.reg_ops, b.reg_ops);
+  EXPECT_EQ(a.crashed, b.crashed);
+  EXPECT_EQ(a.trace_tail, b.trace_tail);
+}
+
+long thread_minor_faults() {
+  rusage ru{};
+  ::getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_minflt;
+}
+
+// Fiber stacks come from a per-thread cache once a thread has run a trial.
+// Reuse must not show in any trajectory, and a warm thread must run trials
+// on the stacks it already holds: probe fibers find the same parked
+// mappings before and after 200 more trials, and (outside sanitizer builds)
+// those trials take fewer minor faults than there are trials — every fresh
+// mapping would fault in at least one page.
+TEST(TrialEngine, WarmThreadReusesStacksWithoutFaults) {
+  constexpr std::uint64_t kTrials = 200;
+  core::ConsensusTrialConfig cfg = small_consensus_config();
+  cfg.backend = runtime::SimBackend::kCoroutine;
+  const std::size_t n = cfg.gsm.size();  // one fiber per process
+  core::ConsensusTrialResult cold;
+  core::ConsensusTrialResult warm;
+  std::vector<const void*> parked_before;
+  std::vector<const void*> parked_after;
+  std::size_t still_mapped = 0;
+  long faults = 0;
+  std::thread worker{[&] {  // a new thread starts with an empty stack cache
+    cold = core::run_consensus_trial(cfg);
+    warm = core::run_consensus_trial(cfg);
+    core::ConsensusTrialConfig each = cfg;
+    for (std::uint64_t i = 0; i < kTrials; ++i) {  // warm-up: same seeds as below
+      each.seed = cfg.seed + i;
+      (void)core::run_consensus_trial(each);
+    }
+    parked_before = test_util::run_probe_fibers(n);
+    const long before = thread_minor_faults();
+    for (std::uint64_t i = 0; i < kTrials; ++i) {
+      each.seed = cfg.seed + i;
+      (void)core::run_consensus_trial(each);
+    }
+    faults = thread_minor_faults() - before;
+    parked_after = test_util::run_probe_fibers(n);
+    still_mapped = test_util::count_mapped(parked_after);
+  }};
+  worker.join();
+  ASSERT_TRUE(cold.all_correct_decided);
+  expect_same_trial(cold, warm);
+  expect_same_trial(cold, core::run_consensus_trial(cfg));  // this thread's cache
+  EXPECT_EQ(still_mapped, n);  // dead probes left their stacks parked
+  EXPECT_EQ(parked_after, parked_before);
+#if !defined(MM_FIBER_ASAN) && !defined(MM_FIBER_TSAN)
+  // Sanitizer runtimes fault in pages of their own on every trial, so there
+  // the count no longer tracks stacks: ASan's allocator quarantines freed
+  // chunks (each trial's heap lands on fresh pages), and TSan allocates and
+  // zeroes fresh state for every __tsan_create_fiber.
+  EXPECT_LT(faults, static_cast<long>(kTrials));
+#else
+  (void)faults;
+#endif
 }
 
 TEST(SweepTermination, FirstSeedUsedIsConfiguredSeed) {

@@ -1,20 +1,32 @@
 // Tests for the stackful fiber primitive underlying the coroutine execution
 // backend: resume/yield ordering, completion, stack integrity, many
-// concurrent fibers, and nesting (fibers inside fibers, simulators inside
-// fibers — the shape the parallel trial engine produces).
+// concurrent fibers, nesting (fibers inside fibers, simulators inside
+// fibers — the shape the parallel trial engine produces), and the per-thread
+// cache of guarded stack mappings (guard page kept on reuse, bounded size).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "fiber_probe.hpp"
 #include "graph/generators.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/sim_runtime.hpp"
 
 namespace mm::runtime {
 namespace {
+
+using test_util::count_mapped;
+using test_util::mapping_start;
+using test_util::run_probe_fibers;
 
 TEST(Fiber, ResumeYieldOrdering) {
   std::string log;
@@ -163,6 +175,63 @@ TEST(Fiber, SimRuntimeInsideFiber) {
   EXPECT_EQ(delivered, 3u);
   f.resume();
   EXPECT_TRUE(f.done());
+}
+
+/// Recurse `depth` levels deep with a live 1 KiB frame per level.
+[[gnu::noinline]] unsigned burn_stack(unsigned depth) {
+  volatile unsigned char frame[1024];
+  frame[0] = static_cast<unsigned char>(depth);
+  if (depth == 0) return frame[0];
+  return burn_stack(depth - 1) + frame[0];  // not a tail call: frames pile up
+}
+
+// A mapping reused from the per-thread stack cache keeps its PROT_NONE guard
+// page: running past kDefaultStackBytes on it must fault, not scribble over
+// whatever lies below the mapping. A writable sentinel placed right below
+// the guard makes a missing guard page show up as an overflow that returns.
+TEST(Fiber, GuardPageFaultsOnReusedStack) {
+  const auto overflow_reused_stack = [] {
+    const rlimit no_core{0, 0};
+    ::setrlimit(RLIMIT_CORE, &no_core);
+    const void* first = nullptr;
+    {
+      Fiber warm{[&] { first = __builtin_frame_address(0); }};
+      warm.resume();
+    }
+    // Still mapped after its fiber died: the mapping sits in the cache, and
+    // the next fiber's stack can only land in that range by reusing it.
+    const std::uintptr_t stack_lo = mapping_start(first);
+    if (stack_lo == 0) std::_Exit(3);
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    constexpr std::size_t kSentinelBytes = 1 << 20;
+    // Best effort: if the range is taken, whatever holds it stays below.
+    (void)::mmap(reinterpret_cast<void*>(stack_lo - page - kSentinelBytes), kSentinelBytes,
+                 PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE,
+                 -1, 0);
+    Fiber reused{[&] {
+      if (mapping_start(__builtin_frame_address(0)) != stack_lo) std::_Exit(4);
+      (void)burn_stack(2 * Fiber::kDefaultStackBytes / 1024);
+    }};
+    reused.resume();
+    std::_Exit(0);  // the overflow ran to completion: no guard page
+  };
+#if defined(MM_FIBER_ASAN) || defined(MM_FIBER_TSAN)
+  // The sanitizer's deadly-signal handler reports the fault and exits.
+  EXPECT_DEATH(overflow_reused_stack(), "SEGV|stack-overflow");
+#else
+  EXPECT_EXIT(overflow_reused_stack(), testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
+
+// The cache parks at most kStackCacheMappings mappings per thread; the
+// stacks of every other dead fiber are unmapped.
+TEST(Fiber, StackCacheIsBounded) {
+  std::size_t parked = 0;
+  std::thread fresh{[&] {  // a new thread starts with an empty cache
+    parked = count_mapped(run_probe_fibers(1000));
+  }};
+  fresh.join();
+  EXPECT_EQ(parked, Fiber::kStackCacheMappings);
 }
 
 }  // namespace
