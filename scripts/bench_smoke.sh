@@ -72,8 +72,9 @@ if command -v jq > /dev/null 2>&1; then
     awk -v s="$speedup" 'BEGIN { exit !(s < 1.2) }' \
       && echo "WARN: parallel_speedup=$speedup despite $hc cores ($jobs jobs)"
   fi
-  # Partitioned intra-run speedup: a hard floor where cores exist to deliver
-  # it, a warning where they don't (K LPs on < 4 threads mostly timeshare).
+  # Partitioned intra-run speedup (bench_micro reports the median of three
+  # K=1 / K-way pairs): a hard floor where cores exist to deliver it, a
+  # warning where they don't (K LPs on < 4 threads mostly timeshare).
   intra=$(jq -r '.intra_run_speedup' "$json")
   parts=$(jq -r '.partitions' "$json")
   echo "partitions=$parts intra_run_speedup=$intra"

@@ -1,7 +1,5 @@
 #include "runtime/exec_backend.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <semaphore>
 #include <thread>
 
@@ -93,26 +91,6 @@ const char* to_string(SimBackend backend) noexcept {
     case SimBackend::kThread: return "thread";
   }
   return "?";
-}
-
-SimBackend default_sim_backend() {
-  const char* raw = std::getenv("MM_SIM_BACKEND");
-  if (raw != nullptr) {
-    if (std::strcmp(raw, "thread") == 0 || std::strcmp(raw, "threads") == 0)
-      return SimBackend::kThread;
-    // "coroutine"/"coro"/"fiber"/anything else: the default.
-  }
-  return SimBackend::kCoroutine;
-}
-
-std::uint32_t default_sim_partitions() {
-  const char* raw = std::getenv("MM_SIM_PARTITIONS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return 0;  // malformed: ignore, like MM_JOBS
-  if (v > 64) return 64;                     // kMaxPartitions; avoid the include cycle
-  return static_cast<std::uint32_t>(v);
 }
 
 std::unique_ptr<ProcExec> make_proc_exec(SimBackend backend, std::function<void()> body,

@@ -6,10 +6,12 @@
 // not, and that mechanism is what a ProcExec encapsulates:
 //
 //   * kCoroutine — each process body runs on a Fiber; a handoff is two
-//     userspace register swaps (~tens of ns). The default.
+//     userspace register swaps (~tens of ns). The default
+//     (SimConfig::backend).
 //   * kThread    — each process body runs on a parked OS thread; a handoff is
 //     two binary-semaphore round-trips, i.e. two kernel context switches
-//     (~µs). Kept as the reference semantics for differential testing.
+//     (~µs). Kept as the reference semantics for differential testing:
+//     tests select it explicitly through SimConfig::backend.
 //
 // Because the backend only replaces the transfer-of-control primitive, every
 // seeded trajectory — scheduler picks, message delays, drops, crash points,
@@ -31,19 +33,6 @@ enum class SimBackend : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(SimBackend backend) noexcept;
-
-/// Process-wide default: MM_SIM_BACKEND={coroutine|thread} (also accepts
-/// "coro"/"fiber" and "threads"); unset or unrecognised → kCoroutine.
-/// SimConfig::backend overrides this per runtime.
-[[nodiscard]] SimBackend default_sim_backend();
-
-/// Process-wide default partition count: MM_SIM_PARTITIONS=<k>; unset,
-/// malformed, or 0 → 0 (sequential mode). SimConfig::partitions overrides
-/// this per runtime. The environment default is advisory: runtimes whose
-/// config is not partition-eligible (e.g. timely processes, zero delay
-/// lower bound) silently fall back to sequential rather than throwing, so a
-/// global export cannot break unrelated sequential runs.
-[[nodiscard]] std::uint32_t default_sim_partitions();
 
 /// One process' suspended execution context. Exactly one side is ever
 /// running: resume() is the scheduler handing the process its step, yield()

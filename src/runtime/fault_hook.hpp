@@ -19,8 +19,8 @@
 // Model-legality: the interposer never gains new powers. A rewritten send
 // still carries the true sender (the runtime stamps m.from after the hook),
 // and a rewritten register write still passes the GSM access check
-// (check_register_access against reg_acl_) — a Byzantine process can only
-// corrupt registers it could already write. Byzantine behaviour is the
+// (check_access against the register's acl word) — a Byzantine process can
+// only corrupt registers it could already write. Byzantine behaviour is the
 // corruption of a process, not of the model.
 //
 // Determinism contract: an injector must be a pure function of the events it

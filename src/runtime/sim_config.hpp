@@ -95,9 +95,9 @@ struct SimConfig {
   std::uint64_t seed = 1;
 
   /// Execution backend for process bodies (see runtime/exec_backend.hpp).
-  /// Unset: the MM_SIM_BACKEND environment default (coroutine). Trajectories
-  /// are bit-identical across backends; this only changes the handoff cost.
-  std::optional<SimBackend> backend;
+  /// Trajectories are bit-identical across backends; this only changes the
+  /// handoff cost. kThread is the differential-testing reference.
+  SimBackend backend = SimBackend::kCoroutine;
 
   LinkType link_type = LinkType::kReliable;
   double drop_prob = 0.0;  ///< per-message drop probability (fair-lossy only)
@@ -154,13 +154,13 @@ struct SimConfig {
   std::size_t trace_capacity = 0;
 
   /// Number of logical partitions (LPs) for the parallel-in-one-run engine.
-  /// Unset: the MM_SIM_PARTITIONS environment default (0 = sequential).
-  /// 1 or more selects the partitioned schedule contract — a distinct
+  /// Unset: sequential mode. 1 or more selects the partitioned schedule contract — a distinct
   /// deterministic schedule whose trajectory is a pure function of the seed
   /// and invariant in the partition count and MM_JOBS, but intentionally NOT
   /// the sequential-mode schedule (see RUNTIME.md "Partitioned execution").
   /// Partitioned mode requires min_delay >= 1 (the conservative lookahead)
-  /// and rejects timely/sched_weight/partition knobs. Tracing works: each
+  /// and rejects timely/sched_weight/partition knobs (validate() throws; a
+  /// config never falls back to sequential silently). Tracing works: each
   /// LP records into a private ring and trace() merges them by step.
   std::optional<std::uint32_t> partitions;
 
@@ -291,7 +291,7 @@ inline void SimConfig::validate() const {
   }
   if (!partitions.has_value() && !partition_of.empty())
     throw ConfigError{"partition_of requires partitions to be set (explicit plans "
-                      "opt into partitioned mode; the env default is advisory)"};
+                      "opt into partitioned mode)"};
   if (explore_faults.has_value()) {
     const ExploreFaults& ef = *explore_faults;
     if (partitions.has_value())

@@ -36,24 +36,8 @@ namespace mm::runtime {
 thread_local SimRuntime::PartCtx SimRuntime::tl_part_;
 
 void SimRuntime::init_partitions() {
-  const std::size_t n = config_.n();
-  std::uint32_t req;
-  if (config_.partitions.has_value()) {
-    req = *config_.partitions;  // validate() enforced every eligibility rule
-  } else {
-    req = default_sim_partitions();
-    if (req == 0) return;
-    // The environment default is advisory: configs the partitioned contract
-    // cannot express silently stay sequential instead of failing runs that
-    // never asked for partitioning.
-    const bool weights_uniform =
-        std::all_of(config_.sched_weight.begin(), config_.sched_weight.end(),
-                    [](double w) { return w == 1.0; });
-    if (config_.min_delay < 1 || config_.timely.has_value() ||
-        config_.partition.has_value() || !weights_uniform)
-      return;
-    if (req > n) req = static_cast<std::uint32_t>(n);
-  }
+  if (!config_.partitions.has_value()) return;  // sequential mode
+  const std::uint32_t req = *config_.partitions;  // validate() enforced every eligibility rule
   if (!config_.partition_of.empty()) {
     // Explicit plan, already validated. Used as-is: a partition left with no
     // processes is legal and runs as a pure no-op scanner.
@@ -68,7 +52,7 @@ void SimRuntime::init_partitions() {
   part_ = std::make_unique<PartitionState>();
   // Shards exist from construction so register_value/register_dump work on a
   // runtime that never ran.
-  part_->shards = std::vector<PartitionState::RegShard>(nparts_);
+  shards_ = std::vector<RegShard>(nparts_);
 }
 
 void SimRuntime::start_partitioned() {
@@ -85,8 +69,7 @@ void SimRuntime::start_partitioned() {
   ps.fault_rng_of.reserve(n);
   for (std::size_t p = 0; p < n; ++p) ps.link_rng_of.push_back(link_seeder.split());
   for (std::size_t p = 0; p < n; ++p) ps.fault_rng_of.push_back(fault_seeder.split());
-  lp_by_pid_.assign(n, nullptr);
-  for (std::size_t p = 0; p < n; ++p) lp_by_pid_[p] = &ps.lps[part_of_[p]];
+  for (std::size_t p = 0; p < n; ++p) procs_[p].env->ctx_ = &ps.lps[part_of_[p]];
   for (std::uint32_t q = 0; q < nparts_; ++q) {
     Lp& lp = ps.lps[q];
     lp.index = q;
@@ -94,7 +77,8 @@ void SimRuntime::start_partitioned() {
     // initial state, never the live object. This is the replicated-scheduler
     // tax that buys lock-free agreement on the global schedule.
     lp.sched = Rng{config_.seed * 0x9e3779b97f4a7c15ULL + 1};
-    lp.burst = burst_;
+    lp.burst = main_.burst;
+    ctxs_.push_back(&lp);
   }
   for (const auto& [step, pid] : crash_schedule_)
     ps.lps[part_of_[pid]].crashes.emplace_back(step, pid);
@@ -105,12 +89,12 @@ Step SimRuntime::run_partitioned(Step k) {
   MM_ASSERT_MSG(!schedule_policy_,
                 "schedule policies are sequential-only (the partitioned pick "
                 "schedule is static)");
-  MM_ASSERT_MSG(injector_ == nullptr,
+  MM_ASSERT_MSG(main_.injector == nullptr,
                 "partitioned mode takes per-partition injector replicas "
                 "(set_partition_fault_injectors), not a single global injector");
   PartitionState& ps = *part_;
   if (k == 0 || ps.live.load(std::memory_order_acquire) == 0) return 0;
-  const Step base = global_step_;
+  const Step base = main_.clock;
   const Step target = base + k;
   std::vector<exec::WorkerTiming> timings;
   exec::WorkerPool::run_per_worker(
@@ -123,36 +107,37 @@ Step SimRuntime::run_partitioned(Step k) {
     stall_profile_.worker_busy_ns += wt.busy_ns;
     stall_profile_.worker_wall_ns += wt.wall_ns;
   }
-  global_step_ = std::min(ps.stop.load(std::memory_order_acquire), target);
+  main_.clock = std::min(ps.stop.load(std::memory_order_acquire), target);
   // Post-chunk bookkeeping on the driver thread (the joins above order every
   // LP's writes before this): flush messages still parked in handoff inboxes
   // into the pending heaps — state_hash and the next chunk's first slices
-  // must see them — and merge the per-LP scalar counters.
+  // must see them — and merge the per-LP counters and recorders into main_.
+  Metrics& m = main_.metrics;
   for (Lp& lp : ps.lps) {
     drain_handoff(lp);
-    metrics_.msgs_sent += lp.scalars.msgs_sent;
-    metrics_.msgs_delivered += lp.scalars.msgs_delivered;
-    metrics_.msgs_dropped += lp.scalars.msgs_dropped;
-    metrics_.reg_reads += lp.scalars.reg_reads;
-    metrics_.reg_writes += lp.scalars.reg_writes;
-    metrics_.reg_cas_ops += lp.scalars.reg_cas_ops;
-    metrics_.reg_reads_local += lp.scalars.reg_reads_local;
-    metrics_.reg_writes_local += lp.scalars.reg_writes_local;
-    metrics_.reg_cas_local += lp.scalars.reg_cas_local;
-    lp.scalars = Metrics{0};
+    m.msgs_sent += lp.metrics.msgs_sent;
+    m.msgs_delivered += lp.metrics.msgs_delivered;
+    m.msgs_dropped += lp.metrics.msgs_dropped;
+    m.reg_reads += lp.metrics.reg_reads;
+    m.reg_writes += lp.metrics.reg_writes;
+    m.reg_cas_ops += lp.metrics.reg_cas_ops;
+    m.reg_reads_local += lp.metrics.reg_reads_local;
+    m.reg_writes_local += lp.metrics.reg_writes_local;
+    m.reg_cas_local += lp.metrics.reg_cas_local;
+    lp.metrics = Metrics{0};
     cross_msgs_ += lp.cross_msgs;
     lp.cross_msgs = 0;
-    if (!lp.obs.empty()) obs_.merge_from(lp.obs);
+    if (!lp.obs.empty()) main_.obs.merge_from(lp.obs);
     stall_profile_.merge_from(lp.stalls);
     lp.stalls.reset();
   }
-  return global_step_ - base;
+  return main_.clock - base;
 }
 
 void SimRuntime::lp_run(Lp& lp, Step target) {
   PartitionState& ps = *part_;
   const PartCtx saved = tl_part_;
-  tl_part_ = PartCtx{this, &lp.clock, &lp};
+  tl_part_ = PartCtx{this, &lp};
   const std::size_t n = config_.n();
   const double dn = static_cast<double>(n);
   const std::uint32_t me = lp.index;
@@ -170,7 +155,7 @@ void SimRuntime::lp_run(Lp& lp, Step target) {
       ++lp.crash_next;
       if (runnable(ci)) {
         proc_state_[ci] = static_cast<std::uint8_t>(ProcState::kCrashed);
-        trace_event_lp(lp, Pid{static_cast<std::uint32_t>(ci)}, TraceEvent::Kind::kCrash);
+        trace_event(lp, Pid{static_cast<std::uint32_t>(ci)}, TraceEvent::Kind::kCrash);
         mark_done_parted(t, true);
       }
     }
@@ -182,11 +167,11 @@ void SimRuntime::lp_run(Lp& lp, Step target) {
     if (part_of[pick] == me && runnable(pick)) {
       if (t >= lp.safe_until) wait_horizon(lp, t);
       drain_handoff(lp);
-      ++metrics_.steps_by_proc[pick];
+      ++main_.metrics.steps_by_proc[pick];
       // Trace only the locally-executed pick: every LP replays the same
       // pick stream, so tracing the replicated no-op draws would duplicate
       // each kSchedule K times in the merged trace.
-      trace_event_lp(lp, Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
+      trace_event(lp, Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
       lp.sends_in_slice = 0;
       if (recording) [[unlikely]]
         begin_slice(pick, lp.scratch);
@@ -252,7 +237,7 @@ void SimRuntime::wait_horizon(Lp& lp, Step t) noexcept {
     }
     // Wall-clock fact, not a trajectory fact: kHorizon events are the one
     // trace kind whose presence depends on K and scheduling noise.
-    trace_event_lp(lp, Pid{lp.index}, TraceEvent::Kind::kHorizon, lp.safe_until, rounds);
+    trace_event(lp, Pid{lp.index}, TraceEvent::Kind::kHorizon, lp.safe_until, rounds);
   }
 }
 
@@ -331,55 +316,38 @@ void SimRuntime::parted_enqueue(Lp& lp, Pid to, Step deliver_at, std::uint64_t s
                   std::memory_order_release);
 }
 
-RegId SimRuntime::parted_reg(Pid self, RegKey key) {
-  if (key.is_global()) [[unlikely]] {
-    throw ModelViolation{
-        "global-key registers are sequential-only: a shard pinned to one "
-        "partition cannot be accessed by every process"};
+std::uint32_t SimRuntime::send_partitioned(SliceCtx& c, Pid from, Pid to, Message&& m) {
+  Lp& lp = static_cast<Lp&>(c);  // partitioned mode: every pid's context is an LP
+  // Per-sender streams (a global stream's draw order would depend on the
+  // LP interleaving); the burst window lives on the sender's local clock.
+  Rng& lrng = part_->link_rng_of[from.index()];
+  if (config_.link_type == LinkType::kFairLossy && lrng.bernoulli(config_.drop_prob)) {
+    record_drop(lp, from, to, m.kind);
+    return 0;
   }
-  const Pid owner = key.owner();
-  MM_ASSERT(owner.index() < config_.n());
-  // Access check BEFORE materialising: a denied probe must not mutate a
-  // foreign partition's shard (that write would race with its owner).
-  if (owner != self && !config_.gsm.has_edge(self, owner)) {
-    throw ModelViolation{to_string(self) + " accessed register owned by " +
-                         to_string(owner) + " outside its shared-memory domain"};
+  Rng& frng = part_->fault_rng_of[from.index()];
+  const bool burst = lp.clock < lp.burst.until;
+  if (burst && frng.bernoulli(lp.burst.drop_prob)) {
+    record_drop(lp, from, to, m.kind);
+    return 0;
   }
-  const std::uint32_t shard_idx = part_of_[owner.index()];
-  PartitionState::RegShard& sh = part_->shards[shard_idx];
-  auto it = sh.index.find(key);
-  if (it == sh.index.end()) {
-    const auto local = static_cast<std::uint32_t>(sh.values.size());
-    MM_ASSERT_MSG(local <= PartitionState::kLocalMask, "register shard overflow");
-    sh.values.push_back(0);
-    sh.acl.push_back(owner.value());
-    sh.owner.push_back(owner.value());
-    sh.keys.push_back(key);
-    it = sh.index.emplace(key, local).first;
+  m.from = from;
+  Step deliver_at = lp.clock + lrng.between(config_.min_delay, config_.max_delay);
+  if (burst && lp.burst.extra_delay_max > 0)
+    deliver_at += frng.between(0, lp.burst.extra_delay_max);
+  // Sender-assigned tie-break seq: globally unique because exactly one
+  // process executes per virtual step ((step << 16) | slice send index).
+  std::uint32_t copies = 1;
+  if (burst && frng.bernoulli(lp.burst.dup_prob)) {
+    Step dup_at = lp.clock + frng.between(config_.min_delay, config_.max_delay);
+    if (lp.burst.extra_delay_max > 0) dup_at += frng.between(0, lp.burst.extra_delay_max);
+    parted_enqueue(lp, to, dup_at, (lp.clock << 16) | lp.sends_in_slice++, m);
+    copies = 2;
   }
-  return RegId{(shard_idx << PartitionState::kShardShift) | it->second};
-}
-
-void SimRuntime::parted_check_access(Pid accessor, RegId r) const {
-  const PartitionState::RegShard& sh =
-      part_->shards[r.value() >> PartitionState::kShardShift];
-  const std::uint32_t acl = sh.acl[r.value() & PartitionState::kLocalMask];
-  if (acl == accessor.value()) return;
-  if (!config_.gsm.has_edge(accessor, Pid{acl})) {
-    throw ModelViolation{to_string(accessor) + " accessed register owned by " +
-                         to_string(Pid{acl}) + " outside its shared-memory domain"};
-  }
-}
-
-void SimRuntime::parted_check_memory_alive(RegId r, Step now_step) const {
-  if (!mem_faults_armed_) return;
-  const PartitionState::RegShard& sh =
-      part_->shards[r.value() >> PartitionState::kShardShift];
-  const std::uint32_t owner = sh.owner[r.value() & PartitionState::kLocalMask];
-  const MemWindow& w = mem_window_[owner];
-  if (w.fail_at <= now_step && now_step < w.recover_at) {
-    throw MemoryFailure{"memory hosted at " + to_string(Pid{owner}) + " has failed"};
-  }
+  const std::uint64_t seq = (lp.clock << 16) | lp.sends_in_slice++;
+  trace_event(lp, from, TraceEvent::Kind::kSend, to.value(), m.kind, seq);
+  parted_enqueue(lp, to, deliver_at, seq, std::move(m));
+  return copies;
 }
 
 void SimRuntime::set_partition_fault_injectors(

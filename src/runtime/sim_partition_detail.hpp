@@ -15,15 +15,16 @@
 //   * live / stop     — termination: the unique LP that drops `live` to 0
 //                       publishes `stop`. An LP observing stop late is
 //                       harmless (post-stop picks are all no-ops).
-// Per-pid arrays in SimRuntime (proc_state_, pending_, obs_hash_, ...) are
-// touched only by the pid's owner LP during a run chunk; chunks are bracketed
-// by thread join, which orders them against the driver thread.
+// Per-pid arrays in SimRuntime (proc_state_, pending_, obs_hash_, the
+// per-process Metrics vectors, ...) and each register shard are touched only
+// by the owner LP during a run chunk; chunks are bracketed by thread join,
+// which orders them against the driver thread. Everything else an LP writes
+// lives in its own SliceCtx (the context sequential mode has one of).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -51,22 +52,9 @@ struct SimRuntime::PartitionState {
     std::atomic<std::uint64_t> pushed{0};
   };
 
-  /// Register shard pinned to one partition: same SoA layout as the
-  /// sequential table. RegIds encode (shard << kShardShift) | local index.
-  struct RegShard {
-    std::unordered_map<RegKey, std::uint32_t> index;
-    std::vector<std::uint64_t> values;
-    std::vector<std::uint32_t> acl;
-    std::vector<std::uint32_t> owner;
-    std::vector<RegKey> keys;
-  };
-  static constexpr std::uint32_t kShardShift = 24;
-  static constexpr std::uint32_t kLocalMask = (1u << kShardShift) - 1;
-
   std::vector<Lp> lps;  ///< sized once in start(); never reallocated
   std::vector<PubClock> clocks;
   std::vector<Inbox> inbox;
-  std::vector<RegShard> shards;
   /// Per-sender streams replacing the sequential link_rng_/fault_rng_:
   /// global streams would make draw order depend on the interleaving.
   std::vector<Rng> link_rng_of;
@@ -80,13 +68,12 @@ struct SimRuntime::PartitionState {
   std::atomic<Step> stop{kNever};
 };
 
-/// One logical partition. Everything here is private to the owning LP while
-/// a chunk runs; the driver thread reads/merges between chunks.
-struct SimRuntime::Lp {
-  std::uint32_t index = 0;
-  /// Local clock: the global step this LP will evaluate next. Within a
-  /// slice it equals the step being executed (env calls read it).
-  Step clock = 0;
+/// One logical partition: a slice context (whose clock is the LP's local
+/// clock — the global step it will evaluate next, and within a slice the
+/// step being executed) plus the CMB bookkeeping. Everything here is private
+/// to the owning LP while a chunk runs; the driver thread reads/merges
+/// between chunks.
+struct SimRuntime::Lp : SliceCtx {
   /// Replica of the partitioned scheduler stream. Every LP draws the same
   /// pick sequence — the replicated-scheduler tax that buys lock-free
   /// agreement on the global schedule.
@@ -97,23 +84,13 @@ struct SimRuntime::Lp {
   /// Horizon cache: local steps strictly below this need no peer-clock scan
   /// (peer clocks only grow, so min observed clock + lookahead stays safe).
   Step safe_until = 0;
-  LinkBurst burst;                    ///< partition-local burst window
-  FaultInjector* injector = nullptr;  ///< this LP's rule replica (non-owning)
   std::uint32_t sends_in_slice = 0;   ///< seq low bits; reset per slice
   std::uint64_t cross_msgs = 0;       ///< sends that left this partition
   std::uint64_t inbox_pulled = 0;     ///< pushes consumed from our inbox
-  Metrics scalars{0};                 ///< scalar counters, merged after joins
-  SliceScratch scratch;               ///< recording scratch (one per LP)
   std::vector<PartitionState::XMsg> drain_scratch;  ///< inbox swap target
-  /// Sim-time observability recorder; merged into the runtime's recorder
-  /// (and reset) by the driver after each chunk.
-  ObsRecorder obs;
-  /// Wall-clock CMB stall counters; merged like `obs` after each chunk.
+  /// Wall-clock CMB stall counters; merged into the runtime's after each
+  /// chunk.
   StallProfile stalls;
-  /// Private trace ring (capacity = trace_capacity_); trace() merges the
-  /// per-LP rings by step. A shared ring would race across LP threads.
-  std::vector<TraceEvent> trace_buf;
-  std::size_t trace_head = 0;
 };
 
 }  // namespace mm::runtime

@@ -40,61 +40,45 @@ constexpr std::uint64_t kSliceSigSeed = 0x2545f4914f6cdd1dULL;
 
 // ---------------------------------------------------------------------------
 // SimEnv — forwards to the runtime, tagged with the calling pid. Each call
-// dispatches once on the (partitioned, footprint-recording, observability)
-// flags to the matching instantiation of the env backend; the
-// <false, false, false> instantiation carries no instrumentation at all.
+// dispatches once on the (footprint-recording, observability) flags to the
+// matching instantiation of the env backend; the <false, false>
+// instantiation carries no instrumentation at all.
 // ---------------------------------------------------------------------------
 
-// Eight-way dispatch for the channel/register env calls. Template argument
-// order is <Recording, Parted, Obs>. Only one branch is ever evaluated, so
+// Four-way dispatch for the channel/register env calls. Template argument
+// order is <Recording, Obs>. Only one branch is ever evaluated, so
 // forwarding std::move'd arguments through every arm is safe.
-#define MM_ENV_DISPATCH(fn, ...)                                                      \
-  do {                                                                                \
-    if (rt_->partitioned_) [[unlikely]] {                                             \
-      if (rt_->record_obs_) [[unlikely]] {                                            \
-        if (rt_->record_footprints_) return rt_->fn<true, true, true>(__VA_ARGS__);   \
-        return rt_->fn<false, true, true>(__VA_ARGS__);                               \
-      }                                                                               \
-      if (rt_->record_footprints_) return rt_->fn<true, true, false>(__VA_ARGS__);    \
-      return rt_->fn<false, true, false>(__VA_ARGS__);                                \
-    }                                                                                 \
-    if (rt_->record_obs_) [[unlikely]] {                                              \
-      if (rt_->record_footprints_) return rt_->fn<true, false, true>(__VA_ARGS__);    \
-      return rt_->fn<false, false, true>(__VA_ARGS__);                                \
-    }                                                                                 \
-    if (rt_->record_footprints_) [[unlikely]]                                         \
-      return rt_->fn<true, false, false>(__VA_ARGS__);                                \
-    return rt_->fn<false, false, false>(__VA_ARGS__);                                 \
+#define MM_ENV_DISPATCH(fn, ...)                                            \
+  do {                                                                      \
+    if (rt_->record_obs_) [[unlikely]] {                                    \
+      if (rt_->record_footprints_) return rt_->fn<true, true>(__VA_ARGS__); \
+      return rt_->fn<false, true>(__VA_ARGS__);                             \
+    }                                                                       \
+    if (rt_->record_footprints_) [[unlikely]]                               \
+      return rt_->fn<true, false>(__VA_ARGS__);                             \
+    return rt_->fn<false, false>(__VA_ARGS__);                              \
   } while (0)
 
 std::size_t SimEnv::n() const { return rt_->config().n(); }
-void SimEnv::send(Pid to, Message m) { MM_ENV_DISPATCH(env_send, self_, to, std::move(m)); }
-void SimEnv::drain_inbox(std::vector<Message>& out) { MM_ENV_DISPATCH(env_drain, self_, out); }
-RegId SimEnv::reg(RegKey key) {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->parted_reg(self_, key);
-  return rt_->env_reg(self_, key);
+void SimEnv::send(Pid to, Message m) { MM_ENV_DISPATCH(env_send, *ctx_, self_, to, std::move(m)); }
+void SimEnv::drain_inbox(std::vector<Message>& out) {
+  MM_ENV_DISPATCH(env_drain, *ctx_, self_, out);
 }
-std::uint64_t SimEnv::read(RegId r) { MM_ENV_DISPATCH(env_read, self_, r); }
-void SimEnv::write(RegId r, std::uint64_t v) { MM_ENV_DISPATCH(env_write, self_, r, v); }
+RegId SimEnv::reg(RegKey key) { return rt_->env_reg(self_, key); }
+std::uint64_t SimEnv::read(RegId r) { MM_ENV_DISPATCH(env_read, *ctx_, self_, r); }
+void SimEnv::write(RegId r, std::uint64_t v) { MM_ENV_DISPATCH(env_write, *ctx_, self_, r, v); }
 std::uint64_t SimEnv::cas(RegId r, std::uint64_t expected, std::uint64_t desired) {
-  MM_ENV_DISPATCH(env_cas, self_, r, expected, desired);
+  MM_ENV_DISPATCH(env_cas, *ctx_, self_, r, expected, desired);
 }
 
 #undef MM_ENV_DISPATCH
 bool SimEnv::coin() {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->record_footprints_ ? rt_->env_coin<true, true>(self_)
-                                   : rt_->env_coin<false, true>(self_);
-  return rt_->record_footprints_ ? rt_->env_coin<true, false>(self_)
-                                 : rt_->env_coin<false, false>(self_);
+  return rt_->record_footprints_ ? rt_->env_coin<true>(*ctx_, self_)
+                                 : rt_->env_coin<false>(*ctx_, self_);
 }
 std::uint64_t SimEnv::rand_below(std::uint64_t bound) {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->record_footprints_ ? rt_->env_rand_below<true, true>(self_, bound)
-                                   : rt_->env_rand_below<false, true>(self_, bound);
-  return rt_->record_footprints_ ? rt_->env_rand_below<true, false>(self_, bound)
-                                 : rt_->env_rand_below<false, false>(self_, bound);
+  return rt_->record_footprints_ ? rt_->env_rand_below<true>(*ctx_, self_, bound)
+                                 : rt_->env_rand_below<false>(*ctx_, self_, bound);
 }
 void SimEnv::step() {
   if (fiber_ != nullptr) {
@@ -105,11 +89,8 @@ void SimEnv::step() {
   rt_->env_step(self_);
 }
 Step SimEnv::now() const {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->record_footprints_ ? rt_->env_now<true, true>(self_)
-                                   : rt_->env_now<false, true>(self_);
-  return rt_->record_footprints_ ? rt_->env_now<true, false>(self_)
-                                 : rt_->env_now<false, false>(self_);
+  return rt_->record_footprints_ ? rt_->env_now<true>(*ctx_, self_)
+                                 : rt_->env_now<false>(*ctx_, self_);
 }
 bool SimEnv::stop_requested() const {
   return rt_->stop_requested_.load(std::memory_order_relaxed);
@@ -121,15 +102,16 @@ bool SimEnv::stop_requested() const {
 
 SimRuntime::SimRuntime(SimConfig config)
     : config_(std::move(config)),
-      backend_(config_.backend.value_or(default_sim_backend())),
       sched_rng_(config_.seed * 0x9e3779b97f4a7c15ULL + 1),
       link_rng_(config_.seed * 0xc2b2ae3d27d4eb4fULL + 2),
       fault_rng_(config_.seed * 0xd6e8feb86659fd93ULL + 3),
       mem_window_(config_.n()),
+      shards_(1),
       pending_(config_.n()),
       pending_head_(config_.n(), kNever),
       trace_capacity_(config_.trace_capacity),
-      metrics_(config_.n()) {
+      main_(config_.n()),
+      ctxs_{&main_} {
   config_.validate();
   Rng seeder{config_.seed ^ 0xa5a5a5a5a5a5a5a5ULL};
   proc_rng_.reserve(config_.n());
@@ -189,7 +171,7 @@ void SimRuntime::start() {
   }
   ExecOptions exec_opts;
   exec_opts.fiber_stack_bytes = config_.fiber_stack_bytes;
-  if (config_.pooled_fiber_stacks && backend_ == SimBackend::kCoroutine) {
+  if (config_.pooled_fiber_stacks && config_.backend == SimBackend::kCoroutine) {
     stack_pool_ = std::make_unique<FiberStackPool>(
         config_.fiber_stack_bytes == 0 ? Fiber::kDefaultStackBytes
                                        : config_.fiber_stack_bytes);
@@ -203,7 +185,7 @@ void SimRuntime::start() {
     // exception capture, finished flag — so every backend runs identical
     // code and differs only in how control is transferred.
     pr.exec = make_proc_exec(
-        backend_,
+        config_.backend,
         [this, i] {
           if (proc_kill_[i] == 0) {
             try {
@@ -220,6 +202,7 @@ void SimRuntime::start() {
     fiber_[i] = pr.exec->fiber();
     pr.env->fiber_ = fiber_[i];
     pr.env->kill_flag_ = proc_kill_.data() + i;
+    pr.env->ctx_ = &main_;
   }
   if (partitioned_) start_partitioned();
 }
@@ -243,6 +226,8 @@ void SimRuntime::shutdown() {
 // Scheduling
 // ---------------------------------------------------------------------------
 
+SimRuntime::SliceCtx& SimRuntime::ctx_of(Pid p) const { return *procs_[p.index()].env->ctx_; }
+
 void SimRuntime::remove_runnable(std::size_t idx) {
   const auto it = std::lower_bound(runnable_.begin(), runnable_.end(), idx);
   if (it != runnable_.end() && *it == idx) runnable_.erase(it);
@@ -250,39 +235,32 @@ void SimRuntime::remove_runnable(std::size_t idx) {
 
 void SimRuntime::apply_crash_plan() {
   while (crash_next_ < crash_schedule_.size() &&
-         crash_schedule_[crash_next_].first <= global_step_) {
+         crash_schedule_[crash_next_].first <= main_.clock) {
     const std::size_t i = crash_schedule_[crash_next_].second;
     ++crash_next_;
     if (runnable(i)) {
       proc_state_[i] = static_cast<std::uint8_t>(ProcState::kCrashed);
       remove_runnable(i);
-      trace_event(Pid{static_cast<std::uint32_t>(i)}, TraceEvent::Kind::kCrash);
+      trace_event(main_, Pid{static_cast<std::uint32_t>(i)}, TraceEvent::Kind::kCrash);
     }
   }
 }
 
 void SimRuntime::crash_now(Pid p) {
   MM_ASSERT(p.index() < procs_.size());
-  if (partitioned_) [[unlikely]] {
-    // From LP context (an injector replica), only p's owner applies the
-    // crash — every other replica reaches the same call on its own timeline
-    // and drops it here, so the crash lands exactly once, at the owner's
-    // local step. Driver-context calls between chunks apply directly.
-    if (tl_part_.rt == this && lp_by_pid_[p.index()] != tl_part_.lp) return;
-    if (!runnable(p.index())) return;
-    proc_state_[p.index()] = static_cast<std::uint8_t>(ProcState::kCrashed);
-    if (tl_part_.rt == this) {
-      trace_event_lp(*tl_part_.lp, p, TraceEvent::Kind::kCrash);
-    } else {
-      trace_event(p, TraceEvent::Kind::kCrash);  // driver context between chunks
-    }
+  // From an LP's injector replica only p's owner applies the crash — every
+  // other replica reaches the same call on its own timeline and drops it
+  // here, so the crash lands exactly once, at the owner's local step.
+  // Driver-context calls (between chunks) apply directly.
+  SliceCtx* const caller = hook_ctx();
+  if (caller != nullptr && &ctx_of(p) != caller) return;
+  if (!runnable(p.index())) return;
+  proc_state_[p.index()] = static_cast<std::uint8_t>(ProcState::kCrashed);
+  trace_event(caller != nullptr ? *caller : main_, p, TraceEvent::Kind::kCrash);
+  if (partitioned_) {
     mark_done_parted(now(), true);
-    return;
-  }
-  if (runnable(p.index())) {
-    proc_state_[p.index()] = static_cast<std::uint8_t>(ProcState::kCrashed);
+  } else {
     remove_runnable(p.index());
-    trace_event(p, TraceEvent::Kind::kCrash);
   }
 }
 
@@ -313,7 +291,7 @@ void SimRuntime::ef_fire(std::size_t idx) {
   const ExploreFaults& ef = *config_.explore_faults;
   StepFootprint* fp = nullptr;
   if (record_footprints_) [[unlikely]] {
-    fp = &scratch_.footprint;
+    fp = &main_.scratch.footprint;
     fp->clear(Pid{static_cast<std::uint32_t>(config_.n() + idx)});
   }
   if (idx < ef_drop_base_) {  // crash event
@@ -321,7 +299,7 @@ void SimRuntime::ef_fire(std::size_t idx) {
     MM_ASSERT_MSG(runnable(target), "crash event fired on a non-parked process");
     proc_state_[target] = static_cast<std::uint8_t>(ProcState::kCrashed);
     remove_runnable(target);
-    trace_event(Pid{static_cast<std::uint32_t>(target)}, TraceEvent::Kind::kCrash);
+    trace_event(main_, Pid{static_cast<std::uint32_t>(target)}, TraceEvent::Kind::kCrash);
     if (fp != nullptr) fp->crash_mask = 1ULL << target;
     return;
   }
@@ -335,8 +313,8 @@ void SimRuntime::ef_fire(std::size_t idx) {
     const Message dropped = std::move(pend.back().msg);
     pend.pop_back();
     pending_head_[d] = pend.empty() ? kNever : pend.front().deliver_at;
-    ++metrics_.msgs_dropped;
-    trace_event(dropped.from, TraceEvent::Kind::kDrop, d, dropped.kind);
+    ++main_.metrics.msgs_dropped;
+    trace_event(main_, dropped.from, TraceEvent::Kind::kDrop, d, dropped.kind);
     if (fp != nullptr) fp->drop_mask = 1ULL << d;
     return;
   }
@@ -375,43 +353,29 @@ void SimRuntime::ef_fire(std::size_t idx) {
 
 void SimRuntime::fail_memory_now(Pid host, std::optional<Step> recover_at) {
   MM_ASSERT(host.index() < config_.n());
-  if (partitioned_ && tl_part_.rt == this) [[unlikely]] {
-    // LP context: only the host's owner LP opens the window, on its local
-    // clock. The shared armed flag is NOT written here — LP threads must
-    // never touch it; set_partition_fault_injectors armed it up front.
-    if (lp_by_pid_[host.index()] != tl_part_.lp) return;
-    MM_ASSERT_MSG(mem_faults_armed_,
-                  "partition-context memory faults require injector replicas "
-                  "(set_partition_fault_injectors arms the fault gate)");
-    const Step local_now = *tl_part_.clock;
-    MM_ASSERT_MSG(!recover_at.has_value() || *recover_at > local_now,
-                  "memory recovery must lie in the future");
-    mem_window_[host.index()] = MemWindow{local_now, recover_at.value_or(kNever)};
-    trace_event_lp(*tl_part_.lp, host, TraceEvent::Kind::kMemFail, recover_at.value_or(0));
-    return;
-  }
-  MM_ASSERT_MSG(!recover_at.has_value() || *recover_at > global_step_,
+  // Only the host's owner context opens the window, on its own clock (the
+  // owner filter of crash_now).
+  SliceCtx* const caller = hook_ctx();
+  if (caller != nullptr && &ctx_of(host) != caller) return;
+  SliceCtx& c = caller != nullptr ? *caller : main_;
+  MM_ASSERT_MSG(!recover_at.has_value() || *recover_at > c.clock,
                 "memory recovery must lie in the future");
-  mem_window_[host.index()] = MemWindow{global_step_, recover_at.value_or(kNever)};
-  mem_faults_armed_ = true;
-  trace_event(host, TraceEvent::Kind::kMemFail, recover_at.value_or(0));
+  mem_window_[host.index()] = MemWindow{c.clock, recover_at.value_or(kNever)};
+  // LP threads only ever read the shared gate: set_partition_fault_injectors
+  // armed it before any replica could fire.
+  if (!mem_faults_armed_) mem_faults_armed_ = true;
+  trace_event(c, host, TraceEvent::Kind::kMemFail, recover_at.value_or(0));
 }
 
 void SimRuntime::recover_memory_now(Pid host) {
   MM_ASSERT(host.index() < config_.n());
+  SliceCtx* const caller = hook_ctx();
+  if (caller != nullptr && &ctx_of(host) != caller) return;
+  SliceCtx& c = caller != nullptr ? *caller : main_;
   MemWindow& w = mem_window_[host.index()];
-  if (partitioned_ && tl_part_.rt == this) [[unlikely]] {
-    if (lp_by_pid_[host.index()] != tl_part_.lp) return;
-    const Step local_now = *tl_part_.clock;
-    if (w.fail_at <= local_now && local_now < w.recover_at) {
-      w.recover_at = local_now;
-      trace_event_lp(*tl_part_.lp, host, TraceEvent::Kind::kMemRecover);
-    }
-    return;
-  }
-  if (w.fail_at <= global_step_ && global_step_ < w.recover_at) {
-    w.recover_at = global_step_;
-    trace_event(host, TraceEvent::Kind::kMemRecover);
+  if (w.fail_at <= c.clock && c.clock < w.recover_at) {
+    w.recover_at = c.clock;
+    trace_event(c, host, TraceEvent::Kind::kMemRecover);
   }
 }
 
@@ -420,97 +384,70 @@ void SimRuntime::set_partition_now(std::uint64_t side_a, Step until) {
                 "partition windows are sequential-only (they hold messages on the "
                 "single global clock); use a kLinkBurst rule in partitioned mode");
   MM_ASSERT_MSG(config_.n() <= 64, "partition masks require n <= 64");
-  config_.partition = Partition{side_a, global_step_, until};
+  config_.partition = Partition{side_a, main_.clock, until};
 }
 
 void SimRuntime::clear_partition_now() { config_.partition.reset(); }
 
 void SimRuntime::begin_link_burst(const LinkBurst& burst) {
-  if (partitioned_) [[unlikely]] {
-    if (tl_part_.rt == this) {
-      // Each injector replica arms its own LP's window at its own local
-      // step — together they reproduce the sequential burst exactly.
-      tl_part_.lp->burst = burst;
-    } else {
-      burst_ = burst;
-      for (Lp& lp : part_->lps) lp.burst = burst;
-    }
+  // From a hook, each injector replica arms its own LP's window at its own
+  // local step — together they reproduce the sequential burst exactly.
+  if (SliceCtx* const caller = hook_ctx(); caller != nullptr) {
+    caller->burst = burst;
     return;
   }
-  burst_ = burst;
+  for (SliceCtx* c : ctxs_) c->burst = burst;
 }
 
 void SimRuntime::enable_trace(std::size_t capacity) {
   trace_capacity_ = capacity;
-  trace_buf_.clear();
-  trace_buf_.shrink_to_fit();
-  trace_head_ = 0;
-  if (partitioned_ && part_ != nullptr) {
-    for (Lp& lp : part_->lps) {
-      lp.trace_buf.clear();
-      lp.trace_buf.shrink_to_fit();
-      lp.trace_head = 0;
-    }
+  for (SliceCtx* c : ctxs_) {
+    c->trace_buf.clear();
+    c->trace_buf.shrink_to_fit();
+    c->trace_head = 0;
   }
 }
 
-void SimRuntime::trace_event_slow(Pid pid, TraceEvent::Kind kind, std::uint64_t a,
+void SimRuntime::trace_event_slow(SliceCtx& c, Pid pid, TraceEvent::Kind kind, std::uint64_t a,
                                   std::uint64_t b, std::uint64_t seq) {
-  const TraceEvent e{global_step_, pid, kind, a, b, seq};
-  if (trace_buf_.size() < trace_capacity_) {
-    trace_buf_.push_back(e);
+  const TraceEvent e{c.clock, pid, kind, a, b, seq};
+  if (c.trace_buf.size() < trace_capacity_) {
+    c.trace_buf.push_back(e);
     return;
   }
   // Ring is full: overwrite the oldest slot. No per-event allocation or
   // shifting — a deque here would churn chunk allocations while rotating.
-  trace_buf_[trace_head_] = e;
-  trace_head_ = trace_head_ + 1 == trace_capacity_ ? 0 : trace_head_ + 1;
-}
-
-void SimRuntime::trace_event_lp_slow(Lp& lp, Pid pid, TraceEvent::Kind kind, std::uint64_t a,
-                                     std::uint64_t b, std::uint64_t seq) {
-  // Same ring discipline as the global buffer, stamped with the LP's local
-  // clock (the virtual step its slice in flight executes at).
-  const TraceEvent e{lp.clock, pid, kind, a, b, seq};
-  if (lp.trace_buf.size() < trace_capacity_) {
-    lp.trace_buf.push_back(e);
-    return;
-  }
-  lp.trace_buf[lp.trace_head] = e;
-  lp.trace_head = lp.trace_head + 1 == trace_capacity_ ? 0 : lp.trace_head + 1;
+  c.trace_buf[c.trace_head] = e;
+  c.trace_head = c.trace_head + 1 == trace_capacity_ ? 0 : c.trace_head + 1;
 }
 
 void SimRuntime::trace_fault(Pid context, std::uint64_t action, std::uint64_t rule) {
-  if (trace_capacity_ == 0) [[likely]]
-    return;
-  if (partitioned_ && tl_part_.rt == this) [[unlikely]] {
-    trace_event_lp_slow(*tl_part_.lp, context, TraceEvent::Kind::kFault, action, rule, 0);
-    return;
-  }
-  trace_event_slow(context, TraceEvent::Kind::kFault, action, rule, 0);
+  SliceCtx* const caller = hook_ctx();
+  trace_event(caller != nullptr ? *caller : main_, context, TraceEvent::Kind::kFault, action,
+              rule);
 }
 
 std::vector<SimRuntime::TraceEvent> SimRuntime::trace() const {
   std::vector<TraceEvent> out;
-  // head is the oldest slot once a ring has wrapped; before that it is 0 and
-  // the buffer is already chronological.
-  const auto append_ring = [&out](const std::vector<TraceEvent>& buf, std::size_t head) {
-    const std::size_t size = buf.size();
+  std::size_t rings = 0;
+  for (const SliceCtx* c : ctxs_) {
+    // head is the oldest slot once a ring has wrapped; before that it is 0
+    // and the buffer is already chronological.
+    const std::size_t size = c->trace_buf.size();
+    rings += size != 0 ? 1 : 0;
     out.reserve(out.size() + size);
     for (std::size_t i = 0; i < size; ++i) {
-      std::size_t j = head + i;
+      std::size_t j = c->trace_head + i;
       if (j >= size) j -= size;
-      out.push_back(buf[j]);
+      out.push_back(c->trace_buf[j]);
     }
-  };
-  append_ring(trace_buf_, trace_head_);
-  if (partitioned_ && part_ != nullptr) {
-    // Merge the per-LP rings into virtual-step order. Same-step process
+  }
+  if (rings > 1) {
+    // Merge the per-context rings into virtual-step order. Same-step process
     // events always come from exactly one LP (one process executes per
     // global step), so stable_sort keeps their slice order; only wall-clock
     // kHorizon events can tie across LPs and they fall back to LP index
     // (the concatenation order).
-    for (const Lp& lp : part_->lps) append_ring(lp.trace_buf, lp.trace_head);
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceEvent& x, const TraceEvent& y) { return x.step < y.step; });
   }
@@ -578,26 +515,26 @@ std::string SimRuntime::dump_trace(std::size_t last_n) const {
 }
 
 ObsReport SimRuntime::obs_report() const {
-  // run_partitioned merges every LP's recorder into obs_ after each chunk,
-  // so between chunks (the documented call point) obs_ holds everything.
-  return build_obs_report(obs_);
+  // run_partitioned merges every LP's recorder into main_'s after each
+  // chunk, so between chunks (the documented call point) it holds everything.
+  return build_obs_report(main_.obs);
 }
 
 void SimRuntime::activate(std::size_t pick) {
-  ++metrics_.steps_by_proc[pick];
-  trace_event(Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
+  ++main_.metrics.steps_by_proc[pick];
+  trace_event(main_, Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
   if (record_footprints_) [[unlikely]]
-    begin_slice(pick, scratch_);
+    begin_slice(pick, main_.scratch);
   resume_proc(pick);
   if (record_footprints_) [[unlikely]] {
-    scratch_.footprint.finishes = proc_finished_[pick] != 0;
-    end_slice(pick, scratch_);
+    main_.scratch.footprint.finishes = proc_finished_[pick] != 0;
+    end_slice(pick, main_.scratch);
   }
   if (proc_finished_[pick] != 0) {
     proc_state_[pick] = static_cast<std::uint8_t>(ProcState::kFinished);
     remove_runnable(pick);
   }
-  ++global_step_;
+  ++main_.clock;
 }
 
 // ---------------------------------------------------------------------------
@@ -739,7 +676,7 @@ StateHash SimRuntime::state_hash() const {
     });
     for (const Flight& fl : order) {
       const InFlight* f = fl.f;
-      fold(f->deliver_at > global_step_ ? f->deliver_at - global_step_ : 0);
+      fold(f->deliver_at > main_.clock ? f->deliver_at - main_.clock : 0);
       if (ef_width_ != 0) fold(fl.held ? 1 : 0);
       fold(f->msg.from.value());
       fold((static_cast<std::uint64_t>(f->msg.kind) << 32) ^ f->msg.round);
@@ -765,8 +702,8 @@ StateHash SimRuntime::state_hash() const {
 }
 
 bool SimRuntime::step_once() {
-  if (injector_ != nullptr) [[unlikely]]
-    injector_->on_step(*this);
+  if (main_.injector != nullptr) [[unlikely]]
+    main_.injector->on_step(*this);
   apply_crash_plan();
   if (runnable_.empty()) return false;
 
@@ -852,13 +789,13 @@ Step SimRuntime::run_fast(Step k) {
   // Scheduler state that process bodies cannot touch (the RNG, the runnable
   // list, the crash cursor, the SoA base pointers) is cached in locals for
   // the whole loop: the resume() below is an opaque call, so anything left
-  // in memory would be re-loaded every iteration. global_step_ is the one
+  // in memory would be re-loaded every iteration. The clock is the one
   // value env calls *do* read, so it is stored back before each handoff.
   Fiber* const* const fibers = fiber_.data();
   const std::uint8_t* const finished_flags = proc_finished_.data();
-  std::uint64_t* const steps_by_proc = metrics_.steps_by_proc.data();
+  std::uint64_t* const steps_by_proc = main_.metrics.steps_by_proc.data();
   Rng rng = sched_rng_;
-  Step step = global_step_;
+  Step step = main_.clock;
   Step next_crash = crash_next_ < crash_schedule_.size()
                         ? crash_schedule_[crash_next_].first
                         : kNever;
@@ -867,7 +804,7 @@ Step SimRuntime::run_fast(Step k) {
   Step done = 0;
   while (done < k) {
     if (next_crash <= step) [[unlikely]] {
-      global_step_ = step;
+      main_.clock = step;
       apply_crash_plan();
       next_crash = crash_next_ < crash_schedule_.size()
                        ? crash_schedule_[crash_next_].first
@@ -881,7 +818,7 @@ Step SimRuntime::run_fast(Step k) {
     if (idx >= nrun) idx = nrun - 1;
     const std::size_t pick = run_data[idx];
     ++steps_by_proc[pick];
-    global_step_ = step;
+    main_.clock = step;
     Fiber* const f = fibers[pick];
     if (f != nullptr) {
       f->resume();
@@ -897,7 +834,7 @@ Step SimRuntime::run_fast(Step k) {
     ++step;
     ++done;
   }
-  global_step_ = step;
+  main_.clock = step;
   sched_rng_ = rng;
   return done;
 }
@@ -916,14 +853,14 @@ Step SimRuntime::run_steps(Step k) {
 bool SimRuntime::run_until_all_done(Step budget) {
   start();
   if (partitioned_) [[unlikely]] {
-    if (budget > global_step_) run_partitioned(budget - global_step_);
+    if (budget > main_.clock) run_partitioned(budget - main_.clock);
     return all_done();
   }
   if (fast_path_eligible()) {
-    if (budget > global_step_) run_fast(budget - global_step_);
+    if (budget > main_.clock) run_fast(budget - main_.clock);
     return all_done();
   }
-  while (global_step_ < budget) {
+  while (main_.clock < budget) {
     if (!step_once()) break;
   }
   return all_done();
@@ -951,30 +888,25 @@ void SimRuntime::rethrow_process_error() const {
     if (pr.error) std::rethrow_exception(pr.error);
 }
 
+const std::vector<std::uint64_t>& SimRuntime::register_values() const noexcept {
+  static const std::vector<std::uint64_t> kNone;
+  return partitioned_ ? kNone : shards_.front().values;
+}
+
 std::optional<std::uint64_t> SimRuntime::register_value(RegKey key) const {
-  if (partitioned_) {
-    if (key.is_global()) return std::nullopt;  // unmaterialisable in this mode
-    const auto& sh = part_->shards[part_of_[key.owner().index()]];
+  // Keys are unique across shards, so the first hit is the only one.
+  for (const RegShard& sh : shards_) {
     const auto it = sh.index.find(key);
-    if (it == sh.index.end()) return std::nullopt;
-    return sh.values[it->second];
+    if (it != sh.index.end()) return sh.values[it->second];
   }
-  const auto it = reg_index_.find(key);
-  if (it == reg_index_.end()) return std::nullopt;
-  return reg_values_[it->second];
+  return std::nullopt;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> SimRuntime::register_dump() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  if (partitioned_) {
-    for (const PartitionState::RegShard& sh : part_->shards)
-      for (std::size_t i = 0; i < sh.values.size(); ++i)
-        if (sh.values[i] != 0) out.emplace_back(sh.keys[i].bits(), sh.values[i]);
-  } else {
-    out.reserve(reg_values_.size());
-    for (std::size_t i = 0; i < reg_values_.size(); ++i)
-      if (reg_values_[i] != 0) out.emplace_back(reg_keys_[i].bits(), reg_values_[i]);
-  }
+  for (const RegShard& sh : shards_)
+    for (std::size_t i = 0; i < sh.values.size(); ++i)
+      if (sh.values[i] != 0) out.emplace_back(sh.keys[i].bits(), sh.values[i]);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -1003,7 +935,7 @@ Step SimRuntime::partition_hold(Pid from, Pid to, Step deliver_at, Rng& rng) {
   const Partition& part = *config_.partition;
   // A message crossing the partition during its window is held until the
   // window closes: pure extra asynchrony, never a loss.
-  if (part.crosses(from, to) && global_step_ < part.until && deliver_at >= part.from) {
+  if (part.crosses(from, to) && main_.clock < part.until && deliver_at >= part.from) {
     deliver_at = part.until + rng.between(config_.min_delay, config_.max_delay);
   }
   return deliver_at;
@@ -1011,184 +943,135 @@ Step SimRuntime::partition_hold(Pid from, Pid to, Step deliver_at, Rng& rng) {
 
 void SimRuntime::enqueue_message(Pid to, Step deliver_at, Message m) {
   auto& pend = pending_[to.index()];
-  pend.push_back(InFlight{deliver_at, send_seq_++, global_step_, std::move(m)});
+  pend.push_back(InFlight{deliver_at, send_seq_++, main_.clock, std::move(m)});
   std::push_heap(pend.begin(), pend.end(), &SimRuntime::delivers_later);
   pending_head_[to.index()] = pend.front().deliver_at;
 }
 
-template <bool Recording, bool Parted, bool Obs>
-void SimRuntime::env_send(Pid from, Pid to, Message m) {
+bool SimRuntime::send_hooks(SliceCtx& c, Pid from, Pid to, Message& m) {
+  const HookScope scope{*this, c};
+  c.injector->on_send(*this, from, to);
+  return c.injector->on_byz_send(from, to, m);
+}
+
+std::uint64_t SimRuntime::write_hooks(SliceCtx& c, Pid writer, RegKey key, std::uint64_t v) {
+  const HookScope scope{*this, c};
+  c.injector->on_reg_write(*this, writer, key);
+  c.injector->on_byz_reg_write(writer, key, v);
+  return v;
+}
+
+// The Env backends are defined inline: each instantiation has one caller,
+// its SimEnv facade arm, and folding it in saves a call per Env operation.
+template <bool Recording, bool Obs>
+inline void SimRuntime::env_send(SliceCtx& c, Pid from, Pid to, Message m) {
   MM_ASSERT(to.index() < config_.n());
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[from.index()];
-    bool deliver = true;
-    if (lp.injector != nullptr) [[unlikely]] {
-      // The hook may fire actuators and read now(); under the thread backend
-      // this call runs on the process's own thread, so bind the LP context
-      // here (under the fiber backend this rebinds the same values).
-      const PartCtx saved = tl_part_;
-      tl_part_ = PartCtx{this, &lp.clock, &lp};
-      lp.injector->on_send(*this, from, to);
-      deliver = lp.injector->on_byz_send(from, to, m);
-      tl_part_ = saved;
-    }
-    if constexpr (Recording) lp.scratch.footprint.add_send(to);
-    ++lp.scalars.msgs_sent;
-    ++metrics_.sends_by_proc[from.index()];
-    if (!deliver) [[unlikely]] {  // Byzantine selective silence
-      ++lp.scalars.msgs_dropped;
-      return;
-    }
-    // Per-sender streams (a global stream's draw order would depend on the
-    // LP interleaving); the burst window lives on the sender's local clock.
-    Rng& lrng = part_->link_rng_of[from.index()];
-    if (config_.link_type == LinkType::kFairLossy && lrng.bernoulli(config_.drop_prob)) {
-      ++lp.scalars.msgs_dropped;
-      return;
-    }
-    Rng& frng = part_->fault_rng_of[from.index()];
-    const bool burst = lp.clock < lp.burst.until;
-    if (burst && frng.bernoulli(lp.burst.drop_prob)) {
-      ++lp.scalars.msgs_dropped;
-      return;
-    }
-    m.from = from;
-    Step deliver_at = lp.clock + lrng.between(config_.min_delay, config_.max_delay);
-    if (burst && lp.burst.extra_delay_max > 0)
-      deliver_at += frng.between(0, lp.burst.extra_delay_max);
-    // Sender-assigned tie-break seq: globally unique because exactly one
-    // process executes per virtual step ((step << 16) | slice send index).
-    if (burst && frng.bernoulli(lp.burst.dup_prob)) {
-      Step dup_at = lp.clock + frng.between(config_.min_delay, config_.max_delay);
-      if (lp.burst.extra_delay_max > 0) dup_at += frng.between(0, lp.burst.extra_delay_max);
-      if constexpr (Obs)
-        lp.obs.channel_events.push_back(ChannelEvent{lp.clock, to.value(), +1});
-      parted_enqueue(lp, to, dup_at, (lp.clock << 16) | lp.sends_in_slice++, m);
-    }
-    if constexpr (Obs)
-      lp.obs.channel_events.push_back(ChannelEvent{lp.clock, to.value(), +1});
-    const std::uint64_t seq = (lp.clock << 16) | lp.sends_in_slice++;
-    trace_event_lp(lp, from, TraceEvent::Kind::kSend, to.value(), m.kind, seq);
-    parted_enqueue(lp, to, deliver_at, seq, std::move(m));
+  bool deliver = true;
+  if (c.injector != nullptr) [[unlikely]]
+    deliver = send_hooks(c, from, to, m);
+  if constexpr (Recording) c.scratch.footprint.add_send(to);
+  ++c.metrics.msgs_sent;
+  ++main_.metrics.sends_by_proc[from.index()];
+  if (!deliver) [[unlikely]] {  // Byzantine selective silence
+    record_drop(c, from, to, m.kind);
     return;
-  } else {
-    bool deliver = true;
-    if (injector_ != nullptr) [[unlikely]] {
-      injector_->on_send(*this, from, to);
-      deliver = injector_->on_byz_send(from, to, m);
-    }
-    if constexpr (Recording) scratch_.footprint.add_send(to);
-    ++metrics_.msgs_sent;
-    ++metrics_.sends_by_proc[from.index()];
-    if (!deliver) [[unlikely]] {  // Byzantine selective silence
-      ++metrics_.msgs_dropped;
-      trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
-      return;
-    }
-    if (config_.link_type == LinkType::kFairLossy && link_rng_.bernoulli(config_.drop_prob)) {
-      ++metrics_.msgs_dropped;
-      trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
-      return;
-    }
-    // Injected burst hostility (drops / delay spikes / duplicates) draws from
-    // the dedicated fault stream; outside a burst window this block is free
-    // and burst-free runs stay bit-identical.
-    const bool burst = global_step_ < burst_.until;
-    if (burst && fault_rng_.bernoulli(burst_.drop_prob)) {
-      ++metrics_.msgs_dropped;
-      trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
-      return;
-    }
-    m.from = from;
-    Step deliver_at = global_step_ + link_rng_.between(config_.min_delay, config_.max_delay);
-    if (burst && burst_.extra_delay_max > 0)
-      deliver_at += fault_rng_.between(0, burst_.extra_delay_max);
-    deliver_at = partition_hold(from, to, deliver_at, link_rng_);
-    if (ef_part_active_) [[unlikely]] {
-      // Explorer partition window: crossing sends are held (with their
-      // already-drawn stamp and the next seq, exactly as if enqueued) until
-      // the off toggle re-injects them. The send was counted above, so
-      // send-metrics oracles are window-invariant.
-      if (detail::mask_crosses(*config_.explore_faults->partition_mask, from, to)) {
-        if constexpr (Obs)
-          obs_.channel_events.push_back(ChannelEvent{global_step_, to.value(), +1});
-        trace_event(from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
-        ef_held_.emplace_back(to.index(),
-                              InFlight{deliver_at, send_seq_++, global_step_, std::move(m)});
-        return;
-      }
-    }
-    if (burst && fault_rng_.bernoulli(burst_.dup_prob)) {
-      // Link-level duplication: the copy travels independently (own delay,
-      // own partition hold) and is not counted as a send by `from`.
-      Step dup_at = global_step_ + fault_rng_.between(config_.min_delay, config_.max_delay);
-      if (burst_.extra_delay_max > 0) dup_at += fault_rng_.between(0, burst_.extra_delay_max);
-      dup_at = partition_hold(from, to, dup_at, fault_rng_);
-      if constexpr (Obs)
-        obs_.channel_events.push_back(ChannelEvent{global_step_, to.value(), +1});
-      enqueue_message(to, dup_at, m);
-    }
-    if constexpr (Obs)
-      obs_.channel_events.push_back(ChannelEvent{global_step_, to.value(), +1});
-    // Flow id = the seq enqueue_message is about to assign, pairing this
-    // kSend with its kDeliver.
-    trace_event(from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
-    enqueue_message(to, deliver_at, std::move(m));
+  }
+  const std::uint32_t copies = partitioned_ ? send_partitioned(c, from, to, std::move(m))
+                                            : send_sequential(c, from, to, std::move(m));
+  if constexpr (Obs) {
+    for (std::uint32_t i = 0; i < copies; ++i)
+      c.obs.channel_events.push_back(ChannelEvent{c.clock, to.value(), +1});
   }
 }
 
-template <bool Parted, bool Obs>
-void SimRuntime::drain_pending(Pid to, Step now_step, std::vector<Message>& out) {
+void SimRuntime::record_drop(SliceCtx& c, Pid from, Pid to, std::uint32_t kind) {
+  ++c.metrics.msgs_dropped;
+  trace_event(c, from, TraceEvent::Kind::kDrop, to.value(), kind);
+}
+
+std::uint32_t SimRuntime::send_sequential(SliceCtx& c, Pid from, Pid to, Message&& m) {
+  if (config_.link_type == LinkType::kFairLossy && link_rng_.bernoulli(config_.drop_prob)) {
+    record_drop(c, from, to, m.kind);
+    return 0;
+  }
+  // Injected burst hostility (drops / delay spikes / duplicates) draws from
+  // the dedicated fault stream; outside a burst window this block is free
+  // and burst-free runs stay bit-identical.
+  const bool burst = c.clock < c.burst.until;
+  if (burst && fault_rng_.bernoulli(c.burst.drop_prob)) {
+    record_drop(c, from, to, m.kind);
+    return 0;
+  }
+  m.from = from;
+  Step deliver_at = c.clock + link_rng_.between(config_.min_delay, config_.max_delay);
+  if (burst && c.burst.extra_delay_max > 0)
+    deliver_at += fault_rng_.between(0, c.burst.extra_delay_max);
+  deliver_at = partition_hold(from, to, deliver_at, link_rng_);
+  if (ef_part_active_) [[unlikely]] {
+    // Explorer partition window: crossing sends are held (with their
+    // already-drawn stamp and the next seq, exactly as if enqueued) until
+    // the off toggle re-injects them. The send was counted above, so
+    // send-metrics oracles are window-invariant.
+    if (detail::mask_crosses(*config_.explore_faults->partition_mask, from, to)) {
+      trace_event(c, from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
+      ef_held_.emplace_back(to.index(),
+                            InFlight{deliver_at, send_seq_++, c.clock, std::move(m)});
+      return 1;
+    }
+  }
+  std::uint32_t copies = 1;
+  if (burst && fault_rng_.bernoulli(c.burst.dup_prob)) {
+    // Link-level duplication: the copy travels independently (own delay,
+    // own partition hold) and is not counted as a send by `from`.
+    Step dup_at = c.clock + fault_rng_.between(config_.min_delay, config_.max_delay);
+    if (c.burst.extra_delay_max > 0) dup_at += fault_rng_.between(0, c.burst.extra_delay_max);
+    dup_at = partition_hold(from, to, dup_at, fault_rng_);
+    enqueue_message(to, dup_at, m);
+    copies = 2;
+  }
+  // Flow id = the seq enqueue_message is about to assign, pairing this
+  // kSend with its kDeliver.
+  trace_event(c, from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
+  enqueue_message(to, deliver_at, std::move(m));
+  return copies;
+}
+
+template <bool Obs>
+void SimRuntime::drain_pending(SliceCtx& c, Pid to, std::vector<Message>& out) {
   auto& pend = pending_[to.index()];
-  // Recorder/trace context: the drain runs in the destination's slice, so
-  // partitioned records route to `to`'s owner LP (never the sender's).
-  [[maybe_unused]] ObsRecorder* obs = nullptr;
-  [[maybe_unused]] Lp* lp = nullptr;
-  if constexpr (Parted) lp = lp_by_pid_[to.index()];
-  if constexpr (Obs) obs = Parted ? &lp->obs : &obs_;
+  const Step now_step = c.clock;
   std::uint64_t delivered = 0;
   while (!pend.empty() && pend.front().deliver_at <= now_step) {
     std::pop_heap(pend.begin(), pend.end(), &SimRuntime::delivers_later);
     InFlight f = std::move(pend.back());
     pend.pop_back();
     if constexpr (Obs)
-      obs->delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
-    if constexpr (Parted) {
-      trace_event_lp(*lp, f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind,
-                     f.seq);
-    } else {
-      trace_event(f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
-    }
+      c.obs.delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
+    trace_event(c, f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
     out.push_back(std::move(f.msg));
     ++delivered;
   }
   pending_head_[to.index()] = pend.empty() ? kNever : pend.front().deliver_at;
   if constexpr (Obs) {
     // The cached pending_head_ guarantees delivered >= 1 here.
-    obs->inbox_depth.add(delivered);
-    obs->channel_events.push_back(
+    c.obs.inbox_depth.add(delivered);
+    c.obs.channel_events.push_back(
         ChannelEvent{now_step, to.value(), -static_cast<std::int32_t>(delivered)});
   }
-  if constexpr (Parted) {
-    lp->scalars.msgs_delivered += delivered;
-  } else {
-    metrics_.msgs_delivered += delivered;
-  }
+  c.metrics.msgs_delivered += delivered;
 }
 
-template <bool Recording, bool Parted, bool Obs>
-void SimRuntime::env_drain(Pid self, std::vector<Message>& out) {
+template <bool Recording, bool Obs>
+inline void SimRuntime::env_drain(SliceCtx& c, Pid self, std::vector<Message>& out) {
   // Pop eligible messages straight from the heap into the caller's buffer —
   // delivery order is (deliver_at, seq), exactly the heap's pop order, so no
   // intermediate inbox is needed. Reused caller buffers keep their capacity:
   // the steady-state drain allocates nothing, and when nothing is due the
   // cached pending_head_ skips the heap entirely.
   out.clear();
-  const Step now_step = Parted ? lp_by_pid_[self.index()]->clock : global_step_;
-  if (pending_head_[self.index()] <= now_step)
-    drain_pending<Parted, Obs>(self, now_step, out);
+  if (pending_head_[self.index()] <= c.clock) drain_pending<Obs>(c, self, out);
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
+    SliceScratch& sc = c.scratch;
     // Even an empty drain is a channel touch: it would have observed any
     // message sent before it, so it must order against sends to `self`.
     sc.footprint.drained = true;
@@ -1208,232 +1091,171 @@ void SimRuntime::env_drain(Pid self, std::vector<Message>& out) {
   }
 }
 
-RegId SimRuntime::env_reg(Pid self, RegKey key) {
-  auto it = reg_index_.find(key);
-  if (it == reg_index_.end()) {
-    const auto idx = static_cast<std::uint32_t>(reg_values_.size());
-    reg_values_.push_back(0);
-    reg_acl_.push_back(key.is_global() ? kGlobalOwner : key.owner().value());
-    reg_owner_.push_back(key.owner().value());
-    reg_keys_.push_back(key);
-    it = reg_index_.emplace(key, idx).first;
-  }
-  const RegId r{it->second};
-  check_register_access(self, r);
-  return r;
+inline SimRuntime::RegShard& SimRuntime::shard_of(RegId r) {
+  const std::uint32_t s = r.value() >> kShardShift;
+  MM_ASSERT(s < shards_.size() && (r.value() & kLocalMask) < shards_[s].values.size());
+  return shards_[s];
 }
 
-void SimRuntime::check_memory_alive(RegId r) const {
-  MM_ASSERT(r.index() < reg_acl_.size());
-  if (!mem_faults_armed_) return;
-  if (reg_acl_[r.index()] == kGlobalOwner) return;
-  const std::uint32_t owner = reg_owner_[r.index()];
-  const MemWindow& w = mem_window_[owner];
-  if (w.fail_at <= global_step_ && global_step_ < w.recover_at) {
-    throw MemoryFailure{"memory hosted at " + to_string(Pid{owner}) + " has failed"};
-  }
-}
-
-void SimRuntime::check_register_access(Pid accessor, RegId r) const {
+void SimRuntime::check_access(Pid accessor, std::uint32_t acl) const {
   // Domain (GSM) check only: naming a register via env.reg() must stay
   // legal during a memory-failure window — availability is checked per
   // access by check_memory_alive, matching the thread runtime's split.
-  MM_ASSERT(r.index() < reg_acl_.size());
-  const std::uint32_t acl = reg_acl_[r.index()];
   if (acl == kGlobalOwner || acl == accessor.value()) return;
-  MM_ASSERT_MSG(acl < config_.n(), "register owner out of range");
   if (!config_.gsm.has_edge(accessor, Pid{acl})) {
     throw ModelViolation{to_string(accessor) + " accessed register owned by " +
                          to_string(Pid{acl}) + " outside its shared-memory domain"};
   }
 }
 
-template <bool Recording, bool Parted, bool Obs>
-std::uint64_t SimRuntime::env_read(Pid self, RegId r) {
-  maybe_auto_step(self);
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[self.index()];
-    parted_check_access(self, r);
-    parted_check_memory_alive(r, lp.clock);
-    PartitionState::RegShard& sh =
-        part_->shards[r.value() >> PartitionState::kShardShift];
-    const std::size_t li = r.value() & PartitionState::kLocalMask;
-    ++lp.scalars.reg_reads;
-    ++metrics_.reads_by_proc[self.index()];
-    if (sh.owner[li] == self.value()) {
-      ++lp.scalars.reg_reads_local;
-    } else {
-      ++metrics_.remote_reads_by_proc[self.index()];
-    }
-    trace_event_lp(lp, self, TraceEvent::Kind::kRegRead, r.value(), sh.values[li]);
-    if constexpr (Obs) ++lp.obs.reg_touches[sh.keys[li].bits()];
-    if constexpr (Recording) {
-      lp.scratch.footprint.add_read(sh.keys[li]);
-      obs_note(self, kObsRead, sh.values[li], lp.scratch.sig);
-    }
-    return sh.values[li];
-  } else {
-    check_register_access(self, r);
-    check_memory_alive(r);
-    ++metrics_.reg_reads;
-    ++metrics_.reads_by_proc[self.index()];
-    if (reg_owner_[r.index()] == self.value()) {
-      ++metrics_.reg_reads_local;
-    } else {
-      ++metrics_.remote_reads_by_proc[self.index()];
-    }
-    trace_event(self, TraceEvent::Kind::kRegRead, r.value(), reg_values_[r.index()]);
-    if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
-    if constexpr (Recording) {
-      scratch_.footprint.add_read(reg_keys_[r.index()]);
-      obs_note(self, kObsRead, reg_values_[r.index()], scratch_.sig);
-    }
-    return reg_values_[r.index()];
+void SimRuntime::check_memory_alive(const SliceCtx& c, const RegShard& sh,
+                                    std::size_t li) const {
+  if (!mem_faults_armed_) return;
+  if (sh.acl[li] == kGlobalOwner) return;
+  const std::uint32_t owner = sh.owner[li];
+  const MemWindow& w = mem_window_[owner];
+  if (w.fail_at <= c.clock && c.clock < w.recover_at) {
+    throw MemoryFailure{"memory hosted at " + to_string(Pid{owner}) + " has failed"};
   }
 }
 
-template <bool Recording, bool Parted, bool Obs>
-void SimRuntime::env_write(Pid self, RegId r, std::uint64_t v) {
-  maybe_auto_step(self);
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[self.index()];
-    PartitionState::RegShard& sh =
-        part_->shards[r.value() >> PartitionState::kShardShift];
-    const std::size_t li = r.value() & PartitionState::kLocalMask;
-    if (lp.injector != nullptr) [[unlikely]] {
-      const PartCtx saved = tl_part_;
-      tl_part_ = PartCtx{this, &lp.clock, &lp};
-      lp.injector->on_reg_write(*this, self, sh.keys[li]);
-      lp.injector->on_byz_reg_write(self, sh.keys[li], v);
-      tl_part_ = saved;
+RegId SimRuntime::env_reg(Pid self, RegKey key) {
+  // The domain check runs BEFORE materialising: a denied probe must not
+  // create a register (in partitioned mode it would also write a foreign
+  // partition's shard, racing with its owner).
+  std::uint32_t shard = 0;
+  std::uint32_t acl = kGlobalOwner;
+  if (key.is_global()) {
+    if (partitioned_) [[unlikely]] {
+      throw ModelViolation{
+          "global-key registers are sequential-only: a shard pinned to one "
+          "partition cannot be accessed by every process"};
     }
-    parted_check_access(self, r);
-    parted_check_memory_alive(r, lp.clock);
-    ++lp.scalars.reg_writes;
-    ++metrics_.writes_by_proc[self.index()];
-    if (sh.owner[li] == self.value()) {
-      ++lp.scalars.reg_writes_local;
-    } else {
-      ++metrics_.remote_writes_by_proc[self.index()];
-    }
-    trace_event_lp(lp, self, TraceEvent::Kind::kRegWrite, r.value(), v);
-    if constexpr (Obs) ++lp.obs.reg_touches[sh.keys[li].bits()];
-    if constexpr (Recording) lp.scratch.footprint.add_write(sh.keys[li]);
-    sh.values[li] = v;
-    return;
   } else {
-    if (injector_ != nullptr) [[unlikely]] {
-      injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
-      injector_->on_byz_reg_write(self, reg_keys_[r.index()], v);
-    }
-    check_register_access(self, r);
-    check_memory_alive(r);
-    ++metrics_.reg_writes;
-    ++metrics_.writes_by_proc[self.index()];
-    if (reg_owner_[r.index()] == self.value()) {
-      ++metrics_.reg_writes_local;
-    } else {
-      ++metrics_.remote_writes_by_proc[self.index()];
-    }
-    trace_event(self, TraceEvent::Kind::kRegWrite, r.value(), v);
-    if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
-    if constexpr (Recording) scratch_.footprint.add_write(reg_keys_[r.index()]);
-    reg_values_[r.index()] = v;
+    const Pid owner = key.owner();
+    MM_ASSERT_MSG(owner.index() < config_.n(), "register owner out of range");
+    acl = owner.value();
+    shard = ctx_of(owner).index;
   }
+  check_access(self, acl);
+  RegShard& sh = shards_[shard];
+  auto it = sh.index.find(key);
+  if (it == sh.index.end()) {
+    const auto local = static_cast<std::uint32_t>(sh.values.size());
+    MM_ASSERT_MSG(local <= kLocalMask, "register shard overflow");
+    sh.values.push_back(0);
+    sh.acl.push_back(acl);
+    sh.owner.push_back(key.owner().value());
+    sh.keys.push_back(key);
+    it = sh.index.emplace(key, local).first;
+  }
+  return RegId{(shard << kShardShift) | it->second};
 }
 
-template <bool Recording, bool Parted, bool Obs>
-std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
-                                  std::uint64_t desired) {
+template <bool Recording, bool Obs>
+inline std::uint64_t SimRuntime::env_read(SliceCtx& c, Pid self, RegId r) {
   maybe_auto_step(self);
+  RegShard& sh = shard_of(r);
+  const std::size_t li = r.value() & kLocalMask;
+  check_access(self, sh.acl[li]);
+  check_memory_alive(c, sh, li);
+  ++c.metrics.reg_reads;
+  ++main_.metrics.reads_by_proc[self.index()];
+  if (sh.owner[li] == self.value()) {
+    ++c.metrics.reg_reads_local;
+  } else {
+    ++main_.metrics.remote_reads_by_proc[self.index()];
+  }
+  trace_event(c, self, TraceEvent::Kind::kRegRead, r.value(), sh.values[li]);
+  if constexpr (Obs) ++c.obs.reg_touches[sh.keys[li].bits()];
+  if constexpr (Recording) {
+    c.scratch.footprint.add_read(sh.keys[li]);
+    obs_note(self, kObsRead, sh.values[li], c.scratch.sig);
+  }
+  return sh.values[li];
+}
+
+template <bool Recording, bool Obs>
+inline void SimRuntime::env_write(SliceCtx& c, Pid self, RegId r, std::uint64_t v) {
+  maybe_auto_step(self);
+  RegShard& sh = shard_of(r);
+  const std::size_t li = r.value() & kLocalMask;
+  if (c.injector != nullptr) [[unlikely]]
+    v = write_hooks(c, self, sh.keys[li], v);
+  check_access(self, sh.acl[li]);
+  check_memory_alive(c, sh, li);
+  ++c.metrics.reg_writes;
+  ++main_.metrics.writes_by_proc[self.index()];
+  if (sh.owner[li] == self.value()) {
+    ++c.metrics.reg_writes_local;
+  } else {
+    ++main_.metrics.remote_writes_by_proc[self.index()];
+  }
+  trace_event(c, self, TraceEvent::Kind::kRegWrite, r.value(), v);
+  if constexpr (Obs) ++c.obs.reg_touches[sh.keys[li].bits()];
+  if constexpr (Recording) c.scratch.footprint.add_write(sh.keys[li]);
+  sh.values[li] = v;
+}
+
+template <bool Recording, bool Obs>
+inline std::uint64_t SimRuntime::env_cas(SliceCtx& c, Pid self, RegId r,
+                                         std::uint64_t expected, std::uint64_t desired) {
+  maybe_auto_step(self);
+  RegShard& sh = shard_of(r);
+  const std::size_t li = r.value() & kLocalMask;
   // A CAS is a write-class mutation: fault rules keyed on register writes
   // (kOnFirstWrite / kOnRoundEntry) must see CAS-based object protocols too.
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[self.index()];
-    PartitionState::RegShard& sh =
-        part_->shards[r.value() >> PartitionState::kShardShift];
-    const std::size_t li = r.value() & PartitionState::kLocalMask;
-    if (lp.injector != nullptr) [[unlikely]] {
-      const PartCtx saved = tl_part_;
-      tl_part_ = PartCtx{this, &lp.clock, &lp};
-      lp.injector->on_reg_write(*this, self, sh.keys[li]);
-      lp.injector->on_byz_reg_write(self, sh.keys[li], desired);
-      tl_part_ = saved;
-    }
-    parted_check_access(self, r);
-    parted_check_memory_alive(r, lp.clock);
-    ++lp.scalars.reg_cas_ops;
-    if (sh.owner[li] == self.value()) ++lp.scalars.reg_cas_local;
-    const std::uint64_t old = sh.values[li];
-    trace_event_lp(lp, self, TraceEvent::Kind::kRegCas, r.value(), old);
-    if constexpr (Obs) ++lp.obs.reg_touches[sh.keys[li].bits()];
-    if constexpr (Recording) {
-      lp.scratch.footprint.add_read(sh.keys[li]);
-      lp.scratch.footprint.add_write(sh.keys[li]);
-      obs_note(self, kObsCas, old, lp.scratch.sig);
-    }
-    if (old == expected) sh.values[li] = desired;
-    return old;
-  } else {
-    if (injector_ != nullptr) [[unlikely]] {
-      injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
-      injector_->on_byz_reg_write(self, reg_keys_[r.index()], desired);
-    }
-    check_register_access(self, r);
-    check_memory_alive(r);
-    ++metrics_.reg_cas_ops;
-    if (reg_owner_[r.index()] == self.value()) ++metrics_.reg_cas_local;
-    trace_event(self, TraceEvent::Kind::kRegCas, r.value(), reg_values_[r.index()]);
-    if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
-    const std::uint64_t old = reg_values_[r.index()];
-    if constexpr (Recording) {
-      // A CAS both observes and (potentially) mutates: read+write footprint,
-      // with the observed old value as the observation. Whether the swap hit
-      // is a deterministic function of (old, expected), so old alone suffices.
-      scratch_.footprint.add_read(reg_keys_[r.index()]);
-      scratch_.footprint.add_write(reg_keys_[r.index()]);
-      obs_note(self, kObsCas, old, scratch_.sig);
-    }
-    if (old == expected) reg_values_[r.index()] = desired;
-    return old;
+  if (c.injector != nullptr) [[unlikely]]
+    desired = write_hooks(c, self, sh.keys[li], desired);
+  check_access(self, sh.acl[li]);
+  check_memory_alive(c, sh, li);
+  ++c.metrics.reg_cas_ops;
+  if (sh.owner[li] == self.value()) ++c.metrics.reg_cas_local;
+  const std::uint64_t old = sh.values[li];
+  trace_event(c, self, TraceEvent::Kind::kRegCas, r.value(), old);
+  if constexpr (Obs) ++c.obs.reg_touches[sh.keys[li].bits()];
+  if constexpr (Recording) {
+    // A CAS both observes and (potentially) mutates: read+write footprint,
+    // with the observed old value as the observation. Whether the swap hit
+    // is a deterministic function of (old, expected), so old alone suffices.
+    c.scratch.footprint.add_read(sh.keys[li]);
+    c.scratch.footprint.add_write(sh.keys[li]);
+    obs_note(self, kObsCas, old, c.scratch.sig);
   }
+  if (old == expected) sh.values[li] = desired;
+  return old;
 }
 
-template <bool Recording, bool Parted>
-bool SimRuntime::env_coin(Pid self) {
+template <bool Recording>
+bool SimRuntime::env_coin([[maybe_unused]] SliceCtx& c, Pid self) {
   const bool v = proc_rng_[self.index()].coin();
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
-    sc.footprint.drew_rand = true;
-    obs_note(self, kObsCoin, v ? 1 : 0, sc.sig);
+    c.scratch.footprint.drew_rand = true;
+    obs_note(self, kObsCoin, v ? 1 : 0, c.scratch.sig);
   }
   return v;
 }
 
-template <bool Recording, bool Parted>
-std::uint64_t SimRuntime::env_rand_below(Pid self, std::uint64_t bound) {
+template <bool Recording>
+std::uint64_t SimRuntime::env_rand_below([[maybe_unused]] SliceCtx& c, Pid self,
+                                         std::uint64_t bound) {
   const std::uint64_t v = proc_rng_[self.index()].below(bound);
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
-    sc.footprint.drew_rand = true;
-    obs_note(self, kObsRand, v, sc.sig);
+    c.scratch.footprint.drew_rand = true;
+    obs_note(self, kObsRand, v, c.scratch.sig);
   }
   return v;
 }
 
-template <bool Recording, bool Parted>
-Step SimRuntime::env_now(Pid self) {
-  const Step now_step = Parted ? lp_by_pid_[self.index()]->clock : global_step_;
+template <bool Recording>
+Step SimRuntime::env_now(SliceCtx& c, [[maybe_unused]] Pid self) {
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
     // Reading the clock makes the step depend on *every* other step (time
     // advances with each), so it is recorded as a global conflict.
-    sc.footprint.observed_clock = true;
-    obs_note(self, kObsNow, now_step, sc.sig);
-  } else {
-    (void)self;
+    c.scratch.footprint.observed_clock = true;
+    obs_note(self, kObsNow, c.clock, c.scratch.sig);
   }
-  return now_step;
+  return c.clock;
 }
 
 }  // namespace mm::runtime

@@ -17,11 +17,14 @@
 //
 // Hot-path layout (docs/RUNTIME.md "Memory layout"): per-process scheduler
 // state lives in dense parallel arrays (proc_state_/proc_kill_/
-// proc_finished_/fiber_), registers in parallel arrays keyed by reg_index_,
-// and messages carry inline small-buffer payloads (runtime/message.hpp) —
-// a steady-state step performs zero heap allocations. Footprint recording
-// instrumentation is templated out of the non-recording Env backends (see
-// SimEnv below), so the no-checker code path contains none of it.
+// proc_finished_/fiber_), registers in struct-of-arrays RegShards (one in
+// sequential mode, one per partition otherwise), and messages carry inline
+// small-buffer payloads (runtime/message.hpp) — a steady-state step performs
+// zero heap allocations. Both engines run the same Env backends against a
+// per-slice context (SliceCtx: clock, counters, trace ring, recorders);
+// sequential mode owns exactly one. Footprint recording instrumentation is
+// templated out of the non-recording Env backends (see SimEnv below), so the
+// no-checker code path contains none of it.
 #pragma once
 
 #include <atomic>
@@ -46,47 +49,7 @@
 
 namespace mm::runtime {
 
-class SimRuntime;
-
-/// Per-process Env implementation; a thin facade over the runtime.
-///
-/// The runtime's Env backends are member templates over a `Recording`
-/// policy: the <false> instantiation — the only one the no-checker hot path
-/// executes — contains no footprint/observation code at all (compiled out,
-/// not branched around). This facade selects the instantiation with a single
-/// top-of-call branch on the runtime's recording flag, which keeps
-/// set_footprint_recording armable after a deterministic warmup prefix (the
-/// instance corpus relies on that) while the instrumentation itself stays
-/// out of the non-recording code path entirely.
-class SimEnv final : public Env {
- public:
-  SimEnv(SimRuntime& rt, Pid self) : rt_(&rt), self_(self) {}
-
-  [[nodiscard]] Pid self() const override { return self_; }
-  [[nodiscard]] std::size_t n() const override;
-  void send(Pid to, Message m) override;
-  void drain_inbox(std::vector<Message>& out) override;
-  [[nodiscard]] RegId reg(RegKey key) override;
-  [[nodiscard]] std::uint64_t read(RegId r) override;
-  void write(RegId r, std::uint64_t v) override;
-  std::uint64_t cas(RegId r, std::uint64_t expected, std::uint64_t desired) override;
-  [[nodiscard]] bool coin() override;
-  [[nodiscard]] std::uint64_t rand_below(std::uint64_t bound) override;
-  void step() override;
-  [[nodiscard]] Step now() const override;
-  [[nodiscard]] bool stop_requested() const override;
-
- private:
-  friend class SimRuntime;
-
-  SimRuntime* rt_;
-  Pid self_;
-  /// Bound by SimRuntime::start() when this process is fiber-backed: step()
-  /// — the single hottest Env call — then needs no runtime indirection at
-  /// all, just the inline switch and one kill-flag load.
-  Fiber* fiber_ = nullptr;
-  const std::uint8_t* kill_flag_ = nullptr;
-};
+class SimEnv;  // defined after SimRuntime: it holds a SimRuntime::SliceCtx*
 
 class SimRuntime {
  public:
@@ -162,7 +125,7 @@ class SimRuntime {
   /// Install a reactive fault injector (non-owning; must outlive the run).
   /// Null detaches. Fault-free runs (no injector, no actuator calls) are
   /// bit-identical to runs before this hook existed.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
+  void set_fault_injector(FaultInjector* injector) { main_.injector = injector; }
 
   /// Partitioned mode only: install one reactive injector per logical
   /// partition — K independent replicas of the same rules, fired on each
@@ -186,18 +149,16 @@ class SimRuntime {
   /// gcc's UBSan from hoisting the thread-local's null check above the
   /// wrapper call in tight caller loops (a false positive at -O2).
   [[nodiscard]] Step now() const noexcept {
-    if (partitioned_ && tl_part_.rt == this) [[unlikely]] return *tl_part_.clock;
-    return global_step_;
+    if (partitioned_ && tl_part_.rt == this) [[unlikely]] return tl_part_.ctx->clock;
+    return main_.clock;
   }
-  [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
+  [[nodiscard]] const Metrics& metrics() const noexcept { return main_.metrics; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-  /// The execution backend this runtime resolved to (config override, else
-  /// the MM_SIM_BACKEND environment default).
-  [[nodiscard]] SimBackend backend() const noexcept { return backend_; }
+  /// The execution backend this runtime runs (SimConfig::backend).
+  [[nodiscard]] SimBackend backend() const noexcept { return config_.backend; }
 
   /// True when this runtime runs the partitioned (LP-sharded) schedule
-  /// contract — selected by SimConfig::partitions, else the advisory
-  /// MM_SIM_PARTITIONS environment default.
+  /// contract — selected by setting SimConfig::partitions.
   [[nodiscard]] bool partitioned() const noexcept { return partitioned_; }
   /// Logical partitions actually in use — the graph-aware planner clamps the
   /// request down to the GSM's component count. 0 when sequential.
@@ -212,10 +173,9 @@ class SimRuntime {
   [[nodiscard]] std::uint64_t cross_partition_msgs() const noexcept { return cross_msgs_; }
   /// Register values indexed by RegId — i.e. in creation order, which is
   /// itself part of the deterministic trajectory. Differential-backend tests
-  /// compare this table verbatim.
-  [[nodiscard]] const std::vector<std::uint64_t>& register_values() const noexcept {
-    return reg_values_;
-  }
+  /// compare this table verbatim. Sequential mode only (empty when
+  /// partitioned: RegId creation order is per-shard there).
+  [[nodiscard]] const std::vector<std::uint64_t>& register_values() const noexcept;
   /// Value of the register materialised under `key`, or nullopt if no
   /// process ever touched it. Key-addressed (unlike register_values(), whose
   /// RegId order depends on the schedule), so explorer oracles can read
@@ -267,7 +227,7 @@ class SimRuntime {
   /// recording is armed and at least one step has run (sequential mode only
   /// — partitioned slices retire concurrently, one scratch per LP).
   [[nodiscard]] const StepFootprint& last_footprint() const noexcept {
-    return scratch_.footprint;
+    return main_.scratch.footprint;
   }
 
   /// Opt-in spin-cycle collapse: an *effect-free* slice (no writes, sends,
@@ -321,9 +281,10 @@ class SimRuntime {
 
   /// Keep the last `capacity` events (0 disables tracing, the default unless
   /// SimConfig::trace_capacity armed it at construction). Storage is a fixed
-  /// ring: memory use is bounded by the capacity, never by run length. In
-  /// partitioned mode each LP records into its own ring of this capacity
-  /// (events on a shared ring would race); trace() merges them by step.
+  /// ring per slice context: memory use is bounded by the capacity, never by
+  /// run length. In partitioned mode each LP records into its own ring of
+  /// this capacity (events on a shared ring would race); trace() merges them
+  /// by step.
   void enable_trace(std::size_t capacity = 65'536);
   /// The retained events, oldest first (a copy — the live buffer is a ring).
   /// Partitioned mode merges the per-LP rings into virtual-step order;
@@ -365,6 +326,7 @@ class SimRuntime {
   // runtime's own translation units see the definitions).
   struct Lp;
   struct PartitionState;
+  struct SliceCtx;  // defined below, with the Env backends that use it
 
   enum class ProcState : std::uint8_t { kNew, kParked, kFinished, kCrashed };
 
@@ -378,8 +340,25 @@ class SimRuntime {
     std::exception_ptr error;
   };
 
-  /// reg_acl_ sentinel: register readable/writable by everyone (global key).
+  /// RegShard::acl sentinel: register readable/writable by everyone (global
+  /// key; sequential mode only).
   static constexpr std::uint32_t kGlobalOwner = ~std::uint32_t{0};
+
+  /// The register store, struct-of-arrays so env_read/env_write touch one
+  /// cache line each: value words, access-control words (owner pid, or
+  /// kGlobalOwner), raw key owners (metrics, memory windows) and keys
+  /// (injector hooks, dumps). Sequential mode has one shard; partitioned mode
+  /// pins one to each partition. RegIds encode (shard << kShardShift) | slot,
+  /// so sequential RegIds are plain creation-order indices.
+  struct RegShard {
+    std::unordered_map<RegKey, std::uint32_t> index;
+    std::vector<std::uint64_t> values;
+    std::vector<std::uint32_t> acl;
+    std::vector<std::uint32_t> owner;
+    std::vector<RegKey> keys;
+  };
+  static constexpr std::uint32_t kShardShift = 24;
+  static constexpr std::uint32_t kLocalMask = (1u << kShardShift) - 1;
 
   /// Memory-failure window for one host: failed while
   /// `fail_at <= global step < recover_at` (kNever = unbounded end / never
@@ -417,7 +396,7 @@ class SimRuntime {
   /// step_once, minus every disarmed-hook branch. Runs up to `k` steps.
   Step run_fast(Step k);
   [[nodiscard]] bool fast_path_eligible() const noexcept {
-    return !schedule_policy_ && injector_ == nullptr && !config_.timely.has_value() &&
+    return !schedule_policy_ && main_.injector == nullptr && !config_.timely.has_value() &&
            config_.sched_weight.empty() && trace_capacity_ == 0 && !record_footprints_ &&
            !record_obs_;
   }
@@ -449,16 +428,23 @@ class SimRuntime {
   /// Fire pseudo-event `idx` (relative to n): a zero-time transition that
   /// records its footprint directly (no process slice runs).
   void ef_fire(std::size_t idx);
-  void check_register_access(Pid accessor, RegId r) const;
-  /// Throws MemoryFailure while r's host is inside a failure window. Split
-  /// from check_register_access so env_reg (naming) stays available during
-  /// the window — mirrors the thread runtime's check_memory_alive.
-  void check_memory_alive(RegId r) const;
-  /// Pop every message for `to` eligible at `now_step` straight into `out`
-  /// (delivery order), maintaining pending_head_. Parted routes the
-  /// delivered count (and trace/obs records) to the owner LP's context.
-  template <bool Parted, bool Obs>
-  void drain_pending(Pid to, Step now_step, std::vector<Message>& out);
+  /// The shard a RegId names (asserts the shard and the slot exist).
+  /// Inline: every register op runs it (defined in sim_runtime.cpp, its
+  /// only user).
+  [[nodiscard]] inline RegShard& shard_of(RegId r);
+  /// GSM domain check against a register's acl word: throws ModelViolation
+  /// unless `accessor` is the owner, a GSM neighbour, or the key is global.
+  void check_access(Pid accessor, std::uint32_t acl) const;
+  /// Throws MemoryFailure while the slot's host is inside a failure window
+  /// at `c`'s clock. Split from check_access so env_reg (naming) stays
+  /// available during the window — mirrors the thread runtime's
+  /// check_memory_alive.
+  void check_memory_alive(const SliceCtx& c, const RegShard& sh, std::size_t li) const;
+  /// Pop every message for `to` eligible at `c`'s clock straight into `out`
+  /// (delivery order), maintaining pending_head_. `c` is `to`'s context: the
+  /// drain runs in the destination's slice.
+  template <bool Obs>
+  void drain_pending(SliceCtx& c, Pid to, std::vector<Message>& out);
   /// Apply the partition hold rule to a tentative delivery step; re-draws
   /// the post-window delay from `rng` (the link stream for originals, the
   /// fault stream for injected duplicates).
@@ -469,42 +455,85 @@ class SimRuntime {
   /// is sender-assigned ((step << 16) | slice send index — globally unique
   /// because exactly one process executes per virtual step).
   void parted_enqueue(Lp& lp, Pid to, Step deliver_at, std::uint64_t seq, Message m);
+  /// The two send schedules past the shared prefix of env_send: link loss,
+  /// delay and burst draws, the tie-break seq, and the enqueue. Sequential
+  /// mode draws from the global link/fault streams and numbers messages
+  /// with one counter; partitioned mode draws from per-sender streams and
+  /// numbers them (step << 16) | slice send index. Both return how many
+  /// copies entered the network (0 = dropped, 2 = burst duplicate).
+  std::uint32_t send_sequential(SliceCtx& c, Pid from, Pid to, Message&& m);
+  std::uint32_t send_partitioned(SliceCtx& c, Pid from, Pid to, Message&& m);
+  /// Count and trace one message loss (Byzantine silence, fair-lossy or
+  /// burst drop) in the sender's context.
+  void record_drop(SliceCtx& c, Pid from, Pid to, std::uint32_t kind);
+  /// Run `c`'s injector hooks for a send (returns false when the Byzantine
+  /// interposer silences it) or a register write/CAS (returns the value to
+  /// store, which the interposer may have rewritten), under a HookScope.
+  /// Out of line: the hot Env paths only test for an injector.
+  bool send_hooks(SliceCtx& c, Pid from, Pid to, Message& m);
+  std::uint64_t write_hooks(SliceCtx& c, Pid writer, RegKey key, std::uint64_t v);
 
   // Env backends (called from the running process thread; serialized by the
   // semaphore handoff — in partitioned mode by the per-partition handoff —
-  // so no locking is needed). Templated on the recording policy, the
-  // partitioned engine, and (for the channel/register calls) the
-  // observability policy: the <false, false, false> instantiations — the
-  // sequential uninstrumented hot path — contain no footprint/observation
-  // code, no partition bookkeeping, and no histogram feeds at all (compiled
-  // out, not branched around).
-  template <bool Recording, bool Parted, bool Obs>
-  void env_send(Pid from, Pid to, Message m);
-  template <bool Recording, bool Parted, bool Obs>
-  void env_drain(Pid self, std::vector<Message>& out);
+  // so no locking is needed). Each call runs against the calling process's
+  // slice context, so both engines run the same code. Templated on the
+  // recording policy and (for the channel/register calls) the observability
+  // policy: the <false, false> instantiations — the uninstrumented hot path
+  // — contain no footprint/observation code and no histogram feeds at all
+  // (compiled out, not branched around).
+  template <bool Recording, bool Obs>
+  void env_send(SliceCtx& c, Pid from, Pid to, Message m);
+  template <bool Recording, bool Obs>
+  void env_drain(SliceCtx& c, Pid self, std::vector<Message>& out);
   RegId env_reg(Pid self, RegKey key);
-  template <bool Recording, bool Parted, bool Obs>
-  std::uint64_t env_read(Pid self, RegId r);
-  template <bool Recording, bool Parted, bool Obs>
-  void env_write(Pid self, RegId r, std::uint64_t v);
-  template <bool Recording, bool Parted, bool Obs>
-  std::uint64_t env_cas(Pid self, RegId r, std::uint64_t expected, std::uint64_t desired);
+  template <bool Recording, bool Obs>
+  std::uint64_t env_read(SliceCtx& c, Pid self, RegId r);
+  template <bool Recording, bool Obs>
+  void env_write(SliceCtx& c, Pid self, RegId r, std::uint64_t v);
+  template <bool Recording, bool Obs>
+  std::uint64_t env_cas(SliceCtx& c, Pid self, RegId r, std::uint64_t expected,
+                        std::uint64_t desired);
   void env_step(Pid self);
-  template <bool Recording, bool Parted>
-  bool env_coin(Pid self);
-  template <bool Recording, bool Parted>
-  std::uint64_t env_rand_below(Pid self, std::uint64_t bound);
-  template <bool Recording, bool Parted>
-  Step env_now(Pid self);
+  template <bool Recording>
+  bool env_coin(SliceCtx& c, Pid self);
+  template <bool Recording>
+  std::uint64_t env_rand_below(SliceCtx& c, Pid self, std::uint64_t bound);
+  template <bool Recording>
+  Step env_now(SliceCtx& c, Pid self);
   void maybe_auto_step(Pid self);
 
-  /// Scratch for the recording state of the slice in flight. Sequential
-  /// mode uses the single scratch_ below; each partition LP carries its own
-  /// so footprint recording composes with concurrent slices.
+  /// Scratch for the recording state of the slice in flight (one per slice
+  /// context, so footprint recording composes with concurrent LP slices).
   struct SliceScratch {
     StepFootprint footprint;   ///< footprint of the slice in flight / just retired
     std::uint64_t sig = 0;     ///< observation signature of the slice in flight
     bool got_messages = false; ///< slice drained a non-empty inbox
+  };
+
+  /// Everything a slice writes besides per-pid state and registers: the
+  /// clock it executes at, the scalar counters, recording scratch,
+  /// recorders, trace ring, burst window and injector. Sequential mode owns
+  /// exactly one (main_, which also holds the run's Metrics); each partition
+  /// LP embeds its own, merged into main_ after every chunk. Env calls get
+  /// the context bound to the calling pid (SimEnv::ctx_), never one from
+  /// thread-local state, which is unset on the thread backend's process
+  /// threads.
+  struct SliceCtx {
+    explicit SliceCtx(std::size_t n = 0) : metrics(n) {}
+    std::uint32_t index = 0;  ///< LP index = register shard index (0 in sequential mode)
+    /// The global step this context executes (sequential: the global step
+    /// counter; LP: its local clock, merged into main_ after each chunk).
+    Step clock = 0;
+    /// main_: the run's Metrics. LP: scalar counters only, merged after joins.
+    Metrics metrics;
+    SliceScratch scratch;
+    ObsRecorder obs;
+    /// Trace ring: grows once to trace_capacity_ and then wraps, trace_head
+    /// pointing at the oldest (= next overwritten) slot.
+    std::vector<TraceEvent> trace_buf;
+    std::size_t trace_head = 0;
+    LinkBurst burst;
+    FaultInjector* injector = nullptr;  ///< non-owning
   };
 
   /// Fold one observation (tagged by kind) into `self`'s rolling observation
@@ -513,33 +542,21 @@ class SimRuntime {
   /// Slice lifecycle around ProcExec::resume() while recording is armed.
   void begin_slice(std::size_t pick, SliceScratch& sc);
   void end_slice(std::size_t pick, SliceScratch& sc);
-  /// Hot-path tracing hook: a branch-predictable no-op unless enable_trace
-  /// armed it (the capacity check inlines; the ring push stays out of line).
-  void trace_event(Pid pid, TraceEvent::Kind kind, std::uint64_t a = 0, std::uint64_t b = 0,
-                   std::uint64_t seq = 0) {
+  /// Hot-path tracing hook: records into `c`'s ring, stamped with c's
+  /// clock. A branch-predictable no-op unless enable_trace armed it (the
+  /// capacity check inlines; the ring push stays out of line).
+  void trace_event(SliceCtx& c, Pid pid, TraceEvent::Kind kind, std::uint64_t a = 0,
+                   std::uint64_t b = 0, std::uint64_t seq = 0) {
     if (trace_capacity_ == 0) [[likely]] {
       return;
     }
-    trace_event_slow(pid, kind, a, b, seq);
+    trace_event_slow(c, pid, kind, a, b, seq);
   }
-  void trace_event_slow(Pid pid, TraceEvent::Kind kind, std::uint64_t a, std::uint64_t b,
-                        std::uint64_t seq);
-  /// Partitioned-mode tracing hook: records into `lp`'s private ring with
-  /// lp's local clock as the step (the shared ring would race).
-  void trace_event_lp(Lp& lp, Pid pid, TraceEvent::Kind kind, std::uint64_t a = 0,
-                      std::uint64_t b = 0, std::uint64_t seq = 0) {
-    if (trace_capacity_ == 0) [[likely]] {
-      return;
-    }
-    trace_event_lp_slow(lp, pid, kind, a, b, seq);
-  }
-  void trace_event_lp_slow(Lp& lp, Pid pid, TraceEvent::Kind kind, std::uint64_t a,
-                           std::uint64_t b, std::uint64_t seq);
+  void trace_event_slow(SliceCtx& c, Pid pid, TraceEvent::Kind kind, std::uint64_t a,
+                        std::uint64_t b, std::uint64_t seq);
 
   SimConfig config_;
-  SimBackend backend_;
   SchedulePolicy schedule_policy_;
-  FaultInjector* injector_ = nullptr;
   /// Pooled fiber stacks (config_.pooled_fiber_stacks). Declared before
   /// procs_ so it outlives the fibers whose stacks it owns.
   std::unique_ptr<FiberStackPool> stack_pool_;
@@ -579,7 +596,6 @@ class SimRuntime {
   std::atomic<bool> stop_requested_{false};
   bool auto_step_on_shm_ = true;
 
-  Step global_step_ = 0;
   Step steps_since_timely_ = 0;
   std::uint64_t send_seq_ = 0;
 
@@ -595,16 +611,10 @@ class SimRuntime {
   /// register hot path to a single predictable branch.
   std::vector<MemWindow> mem_window_;
   bool mem_faults_armed_ = false;
-  LinkBurst burst_;
 
-  // Register table, struct-of-arrays keyed by reg_index_: value words,
-  // access-control words, and raw owners in dense parallel arrays so
-  // env_read/env_write touch one cache line each.
-  std::unordered_map<RegKey, std::uint32_t> reg_index_;
-  std::vector<std::uint64_t> reg_values_;
-  std::vector<std::uint32_t> reg_acl_;    ///< owner pid value, or kGlobalOwner
-  std::vector<std::uint32_t> reg_owner_;  ///< raw key owner (metrics, mem windows)
-  std::vector<RegKey> reg_keys_;          ///< creation-order keys, for injector hooks
+  /// Register shards, sized once at construction (one per partition, or
+  /// one in sequential mode, which alone admits global keys).
+  std::vector<RegShard> shards_;
 
   // Per-destination pending messages: a binary min-heap on (deliver_at, seq)
   // (see delivers_later). pending_head_[d] caches the earliest deliver_at
@@ -612,25 +622,20 @@ class SimRuntime {
   std::vector<std::vector<InFlight>> pending_;
   std::vector<Step> pending_head_;
 
-  // Trace ring: trace_buf_ grows once to trace_capacity_ and then wraps,
-  // trace_head_ pointing at the oldest (= next overwritten) slot.
+  /// Per-context trace ring capacity (0 = tracing off).
   std::size_t trace_capacity_ = 0;
-  std::vector<TraceEvent> trace_buf_;
-  std::size_t trace_head_ = 0;
 
-  // Sim-time observability (set_observability): the sequential-mode
-  // recorder; per-LP recorders live in Lp and are merged into this one after
-  // each partitioned chunk. Wall-clock stall counters are accumulated the
-  // same way (per-LP, merged post-chunk).
+  // Sim-time observability (set_observability) records into each context's
+  // ObsRecorder; LP recorders are merged into main_'s after each chunk.
+  // Wall-clock stall counters are accumulated the same way (per-LP, merged
+  // post-chunk).
   bool record_obs_ = false;
-  ObsRecorder obs_;
   bool profile_stalls_ = false;
   StallProfile stall_profile_;
 
   // Footprint / observation recording (see the model-checker hooks above).
   bool record_footprints_ = false;
   bool idle_collapse_ = false;
-  SliceScratch scratch_;                 ///< sequential-mode slice scratch
   std::vector<std::uint64_t> obs_hash_;  ///< per-process rolling observation hash
   // Idle-spin collapse state (set_idle_slice_collapse): per process, a ring
   // of the last kIdleRing effect-free slice signatures and post-slice
@@ -647,7 +652,13 @@ class SimRuntime {
   std::vector<std::uint64_t> idle_post_ring_;  ///< n * kIdleRing post-slice obs
   std::vector<std::uint32_t> idle_streak_;     ///< consecutive effect-free slices
 
-  Metrics metrics_;
+  /// The sequential engine's slice context; in partitioned mode the
+  /// driver context between chunks and the merge target of the LPs'.
+  SliceCtx main_;
+  /// main_ followed by every LP (pointers stable once start() ran).
+  std::vector<SliceCtx*> ctxs_;
+  /// Slice context of process p (its SimEnv's binding; valid after start()).
+  [[nodiscard]] SliceCtx& ctx_of(Pid p) const;
 
   // -- partitioned engine (docs/RUNTIME.md "Partitioned execution") ----------
   // K logical partitions (LPs) advance concurrently under Chandy–Misra–Bryant
@@ -658,15 +669,44 @@ class SimRuntime {
   // seed, invariant in K and MM_JOBS — but it is its OWN schedule contract,
   // not the sequential one. All heavyweight state lives behind part_ (defined
   // in sim_partition_detail.hpp) so sequential runtimes pay one null pointer.
-  /// Set while a thread executes inside lp_run, so now() and the dynamic
-  /// actuators resolve to the calling LP's local timeline (FaultEngine
-  /// replicas fire on it). rt discriminates nested runtimes on one thread.
+  /// Set while a thread executes inside lp_run or a partitioned injector
+  /// hook, so now() and the dynamic actuators resolve to the calling LP's
+  /// local timeline (FaultEngine replicas fire on it). rt discriminates
+  /// nested runtimes on one thread.
   struct PartCtx {
     const SimRuntime* rt = nullptr;
-    const Step* clock = nullptr;
-    Lp* lp = nullptr;  ///< lets actuators filter to the calling LP's pids
+    SliceCtx* ctx = nullptr;  ///< lets actuators filter to the caller's pids
   };
   static thread_local PartCtx tl_part_;
+  /// Binds `c` as this thread's calling context while a partitioned
+  /// injector hook runs: under the thread backend hooks fire on the
+  /// process's own thread, where lp_run's binding is not visible. Sequential
+  /// hooks stay unbound — every actuator's driver-context path is the
+  /// sequential one.
+  class HookScope {
+   public:
+    HookScope(const SimRuntime& rt, SliceCtx& c) : bound_(rt.partitioned_) {
+      if (bound_) {
+        saved_ = tl_part_;
+        tl_part_ = PartCtx{&rt, &c};
+      }
+    }
+    ~HookScope() {
+      if (bound_) tl_part_ = saved_;
+    }
+    HookScope(const HookScope&) = delete;
+    HookScope& operator=(const HookScope&) = delete;
+
+   private:
+    bool bound_;
+    PartCtx saved_;
+  };
+  /// The LP an actuator acts in when called from a partitioned injector
+  /// hook or an LP thread; null from the driver (between chunks) and in
+  /// sequential mode.
+  [[nodiscard]] SliceCtx* hook_ctx() const noexcept {
+    return tl_part_.rt == this ? tl_part_.ctx : nullptr;
+  }
 
   void init_partitions();      ///< ctor tail: resolve K, build/validate plan
   void start_partitioned();    ///< start() tail: LPs, shards, per-pid streams
@@ -677,16 +717,56 @@ class SimRuntime {
   /// One process finished (crash=false, during step t) or crashed (crash=
   /// true, at the step-t boundary) under the partitioned engine.
   void mark_done_parted(Step t, bool crash);
-  RegId parted_reg(Pid self, RegKey key);
-  void parted_check_access(Pid accessor, RegId r) const;
-  void parted_check_memory_alive(RegId r, Step now_step) const;
 
   bool partitioned_ = false;
   std::uint32_t nparts_ = 0;
   std::vector<std::uint32_t> part_of_;  ///< pid → LP index
-  std::vector<Lp*> lp_by_pid_;          ///< owner LP per pid (stable; set in start)
   std::uint64_t cross_msgs_ = 0;        ///< merged after each run chunk
   std::unique_ptr<PartitionState> part_;
+};
+
+/// Per-process Env implementation; a thin facade over the runtime.
+///
+/// The runtime's Env backends are member templates over a `Recording`
+/// policy: the <false> instantiation — the only one the no-checker hot path
+/// executes — contains no footprint/observation code at all (compiled out,
+/// not branched around). This facade selects the instantiation with a single
+/// top-of-call branch on the runtime's recording flag, which keeps
+/// set_footprint_recording armable after a deterministic warmup prefix (the
+/// instance corpus relies on that) while the instrumentation itself stays
+/// out of the non-recording code path entirely.
+class SimEnv final : public Env {
+ public:
+  SimEnv(SimRuntime& rt, Pid self) : rt_(&rt), self_(self) {}
+
+  [[nodiscard]] Pid self() const override { return self_; }
+  [[nodiscard]] std::size_t n() const override;
+  void send(Pid to, Message m) override;
+  void drain_inbox(std::vector<Message>& out) override;
+  [[nodiscard]] RegId reg(RegKey key) override;
+  [[nodiscard]] std::uint64_t read(RegId r) override;
+  void write(RegId r, std::uint64_t v) override;
+  std::uint64_t cas(RegId r, std::uint64_t expected, std::uint64_t desired) override;
+  [[nodiscard]] bool coin() override;
+  [[nodiscard]] std::uint64_t rand_below(std::uint64_t bound) override;
+  void step() override;
+  [[nodiscard]] Step now() const override;
+  [[nodiscard]] bool stop_requested() const override;
+
+ private:
+  friend class SimRuntime;
+
+  SimRuntime* rt_;
+  Pid self_;
+  /// Bound by SimRuntime::start() when this process is fiber-backed: step()
+  /// — the single hottest Env call — then needs no runtime indirection at
+  /// all, just the inline switch and one kill-flag load.
+  Fiber* fiber_ = nullptr;
+  const std::uint8_t* kill_flag_ = nullptr;
+  /// This process's slice context, bound by start() from its pid: the
+  /// runtime's one context in sequential mode, the owner LP's when
+  /// partitioned. Every Env backend call carries it.
+  SimRuntime::SliceCtx* ctx_ = nullptr;
 };
 
 }  // namespace mm::runtime

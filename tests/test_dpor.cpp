@@ -159,7 +159,7 @@ TEST(Dpor, FindsPlantedFalseTerminationBug) {
 // rules (runtime/footprint.hpp) lose no reachable final state.
 
 std::unique_ptr<SimRuntime> make_fault_micro(runtime::ExploreFaults ef,
-                                             std::optional<SimBackend> backend,
+                                             SimBackend backend,
                                              int recv_iters) {
   SimConfig cfg;
   cfg.gsm = graph::complete(2);
