@@ -12,6 +12,9 @@
 #   chaos      fault-injection campaigns: safety, Byzantine, planted+replay
 #   explore    model checker: DFS/DPOR differential + frontier determinism
 #   obs        observability: trace record/export/summarize round trip
+#   asan       ASan+UBSan rebuild (side tree build-sanitize) running the
+#              runtime, fault, checker and algorithm suites
+#              (scripts/sanitize.sh)
 #   tsan       ThreadSanitizer rebuild of the runtime/exec surface (optional:
 #              arm with MM_CI_TSAN=1; skipped by default — it is a full
 #              side-tree rebuild and the slowest stage by far)
@@ -86,10 +89,12 @@ run_stage smoke ctest_label -L smoke
 run_stage chaos ctest_label -L chaos
 run_stage explore ctest_label -L explore
 run_stage obs ctest_label -L obs
+# The label-registered sanitizer tests are DISABLED unless configured with
+# -DMM_SANITIZE_TEST=ON, so invoke the script directly. BUILD_DIR is unset
+# for it: the script picks its own side tree per mode.
+run_stage asan env -u BUILD_DIR MM_SANITIZE=address bash scripts/sanitize.sh
 if [ "${MM_CI_TSAN:-0}" = "1" ]; then
-  # The label-registered test is DISABLED unless configured with
-  # -DMM_SANITIZE_TEST=ON, so invoke the script directly.
-  run_stage tsan env MM_SANITIZE=thread bash scripts/sanitize.sh
+  run_stage tsan env -u BUILD_DIR MM_SANITIZE=thread bash scripts/sanitize.sh
 else
   STAGES+=("tsan")
   RESULTS+=("skip")

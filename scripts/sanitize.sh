@@ -37,7 +37,10 @@ case "$MODE" in
   address|ON|on)
     MODE=address
     BUILD_DIR=${BUILD_DIR:-build-sanitize}
-    FILTER=${GTEST_FILTER:-'Fiber.*:BackendDiff.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:Partition*:Modes/PartitionDiff.*'}
+    # Runtime/exec, fault and checker suites, the trajectory pins and traces
+    # of the Env backends, and the algorithm suites (HBO, Ω, ABD, Bracha,
+    # Byzantine register, Paxos log).
+    FILTER=${GTEST_FILTER:-'Fiber.*:BackendDiff.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:Partition*:Modes/PartitionDiff.*:SimGolden.*:SimTrace.*:SimCorner.*:ObsGrid.*:Trace.*:TraceRing.*:Hbo.*:OmegaMnm.*:Abd.*:Bracha.*:ByzRegister.*:PaxosLog.*'}
     # Leak checking needs ptrace, which containers often deny; the point here
     # is stack/UB instrumentation, so default it off (overridable).
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
@@ -52,7 +55,7 @@ esac
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "-DMM_SANITIZE=$MODE"
 fi
-cmake --build "$BUILD_DIR" -j --target mm_tests
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target mm_tests
 
 "$BUILD_DIR/tests/mm_tests" --gtest_filter="$FILTER" --gtest_brief=1
 

@@ -61,10 +61,12 @@ class Rng {
     }
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive. Total: the full range [0, 2^64-1]
+  /// (where hi - lo + 1 wraps to 0) is one raw draw.
   [[nodiscard]] std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept {
     MM_ASSERT(lo <= hi);
-    return lo + below(hi - lo + 1);
+    const std::uint64_t span = hi - lo + 1;
+    return span == 0 ? (*this)() : lo + below(span);
   }
 
   /// Fair coin: the paper's processes "toss coins" (§4).

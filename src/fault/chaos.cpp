@@ -459,6 +459,7 @@ ChaosCase case_from_json(const Json& j) {
     if (!algo) throw JsonError{"unknown algo"};
     c.algo = *algo;
     c.f = j.at("f").as_u64();
+    if (c.f >= c.n) throw JsonError{"f must be below n (cannot crash every process)"};
     c.crash_window = j.at("crash_window").as_u64();
     c.max_rounds = j.at("max_rounds").as_u64();
   } else if (c.kind == CaseKind::kByzRegister) {
@@ -475,6 +476,7 @@ ChaosCase case_from_json(const Json& j) {
     if (!algo) throw JsonError{"unknown omega algo"};
     c.omega_algo = *algo;
     c.drop_prob = j.at("drop_prob").as_double();
+    if (c.n < 2) throw JsonError{"omega cases need n >= 2"};
   }
   c.max_delay = j.at("max_delay").as_u64();
   c.budget = j.at("budget").as_u64();

@@ -90,6 +90,16 @@ void FaultEngine::on_reg_write(runtime::SimRuntime& rt, Pid writer, runtime::Reg
   }
 }
 
+namespace {
+
+/// End of a window of `duration` steps opened at `now`, saturating at the
+/// largest step: a hand-edited duration near 2^64 must not wrap into the past.
+Step window_end(Step now, Step duration) noexcept {
+  return duration > ~Step{0} - now ? ~Step{0} : now + duration;
+}
+
+}  // namespace
+
 void FaultEngine::fire(runtime::SimRuntime& rt, std::size_t i, Pid context) {
   fired_[i] = true;
   const FaultRule& r = rules_[i];
@@ -111,8 +121,7 @@ void FaultEngine::fire(runtime::SimRuntime& rt, std::size_t i, Pid context) {
       break;
     case Action::kPartition: {
       if (n > 64) break;  // Partition masks cannot describe n > 64
-      const Step until =
-          r.duration == 0 ? ~Step{0} : rt.now() + r.duration;
+      const Step until = r.duration == 0 ? ~Step{0} : window_end(rt.now(), r.duration);
       const std::uint64_t full =
           n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
       rt.set_partition_now(r.mask & full, until);
@@ -125,12 +134,12 @@ void FaultEngine::fire(runtime::SimRuntime& rt, std::size_t i, Pid context) {
       if (target_ok) {
         rt.fail_memory_now(target, r.duration == 0
                                        ? std::nullopt
-                                       : std::optional<Step>{rt.now() + r.duration});
+                                       : std::optional<Step>{window_end(rt.now(), r.duration)});
       }
       break;
     case Action::kLinkBurst: {
       runtime::SimRuntime::LinkBurst burst;
-      burst.until = rt.now() + (r.duration == 0 ? Step{1} : r.duration);
+      burst.until = window_end(rt.now(), r.duration == 0 ? Step{1} : r.duration);
       burst.drop_prob = r.drop_prob;
       burst.dup_prob = r.dup_prob;
       burst.extra_delay_max = r.extra_delay;

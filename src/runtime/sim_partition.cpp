@@ -143,7 +143,6 @@ void SimRuntime::lp_run(Lp& lp, Step target) {
   const std::uint32_t me = lp.index;
   const std::uint32_t* const part_of = part_of_.data();
   std::atomic<Step>& my_clock = ps.clocks[me].v;
-  const bool recording = record_footprints_;
   Step t = lp.clock;
   while (t < target) {
     if (t >= ps.stop.load(std::memory_order_acquire)) break;
@@ -167,21 +166,12 @@ void SimRuntime::lp_run(Lp& lp, Step target) {
     if (part_of[pick] == me && runnable(pick)) {
       if (t >= lp.safe_until) wait_horizon(lp, t);
       drain_handoff(lp);
-      ++main_.metrics.steps_by_proc[pick];
-      // Trace only the locally-executed pick: every LP replays the same
-      // pick stream, so tracing the replicated no-op draws would duplicate
-      // each kSchedule K times in the merged trace.
-      trace_event(lp, Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
+      // Only the locally-executed pick runs a slice (and traces kSchedule):
+      // every LP replays the same pick stream, so tracing the replicated
+      // no-op draws would duplicate each kSchedule K times in the merged
+      // trace.
       lp.sends_in_slice = 0;
-      if (recording) [[unlikely]]
-        begin_slice(pick, lp.scratch);
-      resume_proc(pick);
-      if (recording) [[unlikely]]
-        end_slice(pick, lp.scratch);
-      if (proc_finished_[pick] != 0) {
-        proc_state_[pick] = static_cast<std::uint8_t>(ProcState::kFinished);
-        mark_done_parted(t, false);
-      }
+      if (run_slice(lp, pick)) mark_done_parted(t, false);
     }
     ++t;
     lp.clock = t;

@@ -39,59 +39,39 @@ constexpr std::uint64_t kSliceSigSeed = 0x2545f4914f6cdd1dULL;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SimEnv — forwards to the runtime, tagged with the calling pid. Each call
-// dispatches once on the (footprint-recording, observability) flags to the
-// matching instantiation of the env backend; the <false, false>
-// instantiation carries no instrumentation at all.
+// SimEnv — forwards to the runtime, tagged with the calling pid and its slice
+// context. Each method calls one Env backend; register ops yield first.
 // ---------------------------------------------------------------------------
 
-// Four-way dispatch for the channel/register env calls. Template argument
-// order is <Recording, Obs>. Only one branch is ever evaluated, so
-// forwarding std::move'd arguments through every arm is safe.
-#define MM_ENV_DISPATCH(fn, ...)                                            \
-  do {                                                                      \
-    if (rt_->record_obs_) [[unlikely]] {                                    \
-      if (rt_->record_footprints_) return rt_->fn<true, true>(__VA_ARGS__); \
-      return rt_->fn<false, true>(__VA_ARGS__);                             \
-    }                                                                       \
-    if (rt_->record_footprints_) [[unlikely]]                               \
-      return rt_->fn<true, false>(__VA_ARGS__);                             \
-    return rt_->fn<false, false>(__VA_ARGS__);                              \
-  } while (0)
-
 std::size_t SimEnv::n() const { return rt_->config().n(); }
-void SimEnv::send(Pid to, Message m) { MM_ENV_DISPATCH(env_send, *ctx_, self_, to, std::move(m)); }
-void SimEnv::drain_inbox(std::vector<Message>& out) {
-  MM_ENV_DISPATCH(env_drain, *ctx_, self_, out);
-}
+void SimEnv::send(Pid to, Message m) { rt_->env_send(*ctx_, self_, to, std::move(m)); }
+void SimEnv::drain_inbox(std::vector<Message>& out) { rt_->env_drain(*ctx_, self_, out); }
 RegId SimEnv::reg(RegKey key) { return rt_->env_reg(self_, key); }
-std::uint64_t SimEnv::read(RegId r) { MM_ENV_DISPATCH(env_read, *ctx_, self_, r); }
-void SimEnv::write(RegId r, std::uint64_t v) { MM_ENV_DISPATCH(env_write, *ctx_, self_, r, v); }
+std::uint64_t SimEnv::read(RegId r) {
+  if (rt_->auto_step_on_shm_) step();
+  return rt_->env_read(*ctx_, self_, r);
+}
+void SimEnv::write(RegId r, std::uint64_t v) {
+  if (rt_->auto_step_on_shm_) step();
+  rt_->env_write(*ctx_, self_, r, v);
+}
 std::uint64_t SimEnv::cas(RegId r, std::uint64_t expected, std::uint64_t desired) {
-  MM_ENV_DISPATCH(env_cas, *ctx_, self_, r, expected, desired);
+  if (rt_->auto_step_on_shm_) step();
+  return rt_->env_cas(*ctx_, self_, r, expected, desired);
 }
-
-#undef MM_ENV_DISPATCH
-bool SimEnv::coin() {
-  return rt_->record_footprints_ ? rt_->env_coin<true>(*ctx_, self_)
-                                 : rt_->env_coin<false>(*ctx_, self_);
-}
+bool SimEnv::coin() { return rt_->env_coin(*ctx_, self_); }
 std::uint64_t SimEnv::rand_below(std::uint64_t bound) {
-  return rt_->record_footprints_ ? rt_->env_rand_below<true>(*ctx_, self_, bound)
-                                 : rt_->env_rand_below<false>(*ctx_, self_, bound);
+  return rt_->env_rand_below(*ctx_, self_, bound);
 }
 void SimEnv::step() {
   if (fiber_ != nullptr) {
     fiber_->yield();
-    if (*kill_flag_ != 0) throw ProcessKilled{};
-    return;
+  } else {
+    exec_->yield();
   }
-  rt_->env_step(self_);
+  if (*kill_flag_ != 0) throw ProcessKilled{};
 }
-Step SimEnv::now() const {
-  return rt_->record_footprints_ ? rt_->env_now<true>(*ctx_, self_)
-                                 : rt_->env_now<false>(*ctx_, self_);
-}
+Step SimEnv::now() const { return rt_->env_now(*ctx_, self_); }
 bool SimEnv::stop_requested() const {
   return rt_->stop_requested_.load(std::memory_order_relaxed);
 }
@@ -201,6 +181,7 @@ void SimRuntime::start() {
         exec_opts);
     fiber_[i] = pr.exec->fiber();
     pr.env->fiber_ = fiber_[i];
+    pr.env->exec_ = pr.exec.get();
     pr.env->kill_flag_ = proc_kill_.data() + i;
     pr.env->ctx_ = &main_;
   }
@@ -521,19 +502,7 @@ ObsReport SimRuntime::obs_report() const {
 }
 
 void SimRuntime::activate(std::size_t pick) {
-  ++main_.metrics.steps_by_proc[pick];
-  trace_event(main_, Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
-  if (record_footprints_) [[unlikely]]
-    begin_slice(pick, main_.scratch);
-  resume_proc(pick);
-  if (record_footprints_) [[unlikely]] {
-    main_.scratch.footprint.finishes = proc_finished_[pick] != 0;
-    end_slice(pick, main_.scratch);
-  }
-  if (proc_finished_[pick] != 0) {
-    proc_state_[pick] = static_cast<std::uint8_t>(ProcState::kFinished);
-    remove_runnable(pick);
-  }
+  if (run_slice(main_, pick)) remove_runnable(pick);
   ++main_.clock;
 }
 
@@ -915,21 +884,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> SimRuntime::register_dump()
 // Env backends — run on the (single) active process thread.
 // ---------------------------------------------------------------------------
 
-void SimRuntime::env_step(Pid self) {
-  const std::size_t i = self.index();
-  Fiber* f = fiber_[i];
-  if (f != nullptr) {
-    f->yield();
-  } else {
-    procs_[i].exec->yield();
-  }
-  if (proc_kill_[i] != 0) throw ProcessKilled{};
-}
-
-void SimRuntime::maybe_auto_step(Pid self) {
-  if (auto_step_on_shm_) env_step(self);
-}
-
 Step SimRuntime::partition_hold(Pid from, Pid to, Step deliver_at, Rng& rng) {
   if (!config_.partition.has_value()) return deliver_at;
   const Partition& part = *config_.partition;
@@ -961,24 +915,29 @@ std::uint64_t SimRuntime::write_hooks(SliceCtx& c, Pid writer, RegKey key, std::
   return v;
 }
 
-// The Env backends are defined inline: each instantiation has one caller,
-// its SimEnv facade arm, and folding it in saves a call per Env operation.
-template <bool Recording, bool Obs>
+// The Env backends are defined inline: each has one caller, its SimEnv
+// method, and folding it in saves a call per Env operation.
 inline void SimRuntime::env_send(SliceCtx& c, Pid from, Pid to, Message m) {
   MM_ASSERT(to.index() < config_.n());
   bool deliver = true;
   if (c.injector != nullptr) [[unlikely]]
     deliver = send_hooks(c, from, to, m);
-  if constexpr (Recording) c.scratch.footprint.add_send(to);
   ++c.metrics.msgs_sent;
   ++main_.metrics.sends_by_proc[from.index()];
+  std::uint32_t copies = 0;
   if (!deliver) [[unlikely]] {  // Byzantine selective silence
     record_drop(c, from, to, m.kind);
-    return;
+  } else {
+    copies = partitioned_ ? send_partitioned(c, from, to, std::move(m))
+                          : send_sequential(c, from, to, std::move(m));
   }
-  const std::uint32_t copies = partitioned_ ? send_partitioned(c, from, to, std::move(m))
-                                            : send_sequential(c, from, to, std::move(m));
-  if constexpr (Obs) {
+  if (record_footprints_ || record_obs_) [[unlikely]]
+    note_send(c, to, copies);
+}
+
+void SimRuntime::note_send(SliceCtx& c, Pid to, std::uint32_t copies) {
+  if (record_footprints_) c.scratch.footprint.add_send(to);
+  if (record_obs_) {
     for (std::uint32_t i = 0; i < copies; ++i)
       c.obs.channel_events.push_back(ChannelEvent{c.clock, to.value(), +1});
   }
@@ -1036,23 +995,23 @@ std::uint32_t SimRuntime::send_sequential(SliceCtx& c, Pid from, Pid to, Message
   return copies;
 }
 
-template <bool Obs>
 void SimRuntime::drain_pending(SliceCtx& c, Pid to, std::vector<Message>& out) {
   auto& pend = pending_[to.index()];
   const Step now_step = c.clock;
+  const bool obs = record_obs_;
   std::uint64_t delivered = 0;
   while (!pend.empty() && pend.front().deliver_at <= now_step) {
     std::pop_heap(pend.begin(), pend.end(), &SimRuntime::delivers_later);
     InFlight f = std::move(pend.back());
     pend.pop_back();
-    if constexpr (Obs)
+    if (obs) [[unlikely]]
       c.obs.delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
     trace_event(c, f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
     out.push_back(std::move(f.msg));
     ++delivered;
   }
   pending_head_[to.index()] = pend.empty() ? kNever : pend.front().deliver_at;
-  if constexpr (Obs) {
+  if (obs) [[unlikely]] {
     // The cached pending_head_ guarantees delivered >= 1 here.
     c.obs.inbox_depth.add(delivered);
     c.obs.channel_events.push_back(
@@ -1061,7 +1020,6 @@ void SimRuntime::drain_pending(SliceCtx& c, Pid to, std::vector<Message>& out) {
   c.metrics.msgs_delivered += delivered;
 }
 
-template <bool Recording, bool Obs>
 inline void SimRuntime::env_drain(SliceCtx& c, Pid self, std::vector<Message>& out) {
   // Pop eligible messages straight from the heap into the caller's buffer —
   // delivery order is (deliver_at, seq), exactly the heap's pop order, so no
@@ -1069,24 +1027,26 @@ inline void SimRuntime::env_drain(SliceCtx& c, Pid self, std::vector<Message>& o
   // the steady-state drain allocates nothing, and when nothing is due the
   // cached pending_head_ skips the heap entirely.
   out.clear();
-  if (pending_head_[self.index()] <= c.clock) drain_pending<Obs>(c, self, out);
-  if constexpr (Recording) {
-    SliceScratch& sc = c.scratch;
-    // Even an empty drain is a channel touch: it would have observed any
-    // message sent before it, so it must order against sends to `self`.
-    sc.footprint.drained = true;
-    if (!out.empty()) sc.got_messages = true;
-    obs_note(self, kObsDrain, out.size(), sc.sig);
-    for (const Message& m : out) {
-      obs_note(self, kObsMsg, m.from.value(), sc.sig);
-      obs_note(self, kObsMsg, (static_cast<std::uint64_t>(m.kind) << 32) ^ m.round, sc.sig);
-      obs_note(self, kObsMsg, m.value, sc.sig);
-      obs_note(self, kObsMsg, m.aux, sc.sig);
-      obs_note(self, kObsMsg, m.tuples.size(), sc.sig);
-      for (const RepTuple& t : m.tuples) {
-        obs_note(self, kObsMsg, t.pid.value(), sc.sig);
-        obs_note(self, kObsMsg, t.value, sc.sig);
-      }
+  if (pending_head_[self.index()] <= c.clock) drain_pending(c, self, out);
+  if (record_footprints_) [[unlikely]]
+    note_drain(c.scratch, self, out);
+}
+
+void SimRuntime::note_drain(SliceScratch& sc, Pid self, const std::vector<Message>& out) {
+  // Even an empty drain is a channel touch: it would have observed any
+  // message sent before it, so it must order against sends to `self`.
+  sc.footprint.drained = true;
+  if (!out.empty()) sc.got_messages = true;
+  obs_note(self, kObsDrain, out.size(), sc.sig);
+  for (const Message& m : out) {
+    obs_note(self, kObsMsg, m.from.value(), sc.sig);
+    obs_note(self, kObsMsg, (static_cast<std::uint64_t>(m.kind) << 32) ^ m.round, sc.sig);
+    obs_note(self, kObsMsg, m.value, sc.sig);
+    obs_note(self, kObsMsg, m.aux, sc.sig);
+    obs_note(self, kObsMsg, m.tuples.size(), sc.sig);
+    for (const RepTuple& t : m.tuples) {
+      obs_note(self, kObsMsg, t.pid.value(), sc.sig);
+      obs_note(self, kObsMsg, t.value, sc.sig);
     }
   }
 }
@@ -1152,9 +1112,7 @@ RegId SimRuntime::env_reg(Pid self, RegKey key) {
   return RegId{(shard << kShardShift) | it->second};
 }
 
-template <bool Recording, bool Obs>
 inline std::uint64_t SimRuntime::env_read(SliceCtx& c, Pid self, RegId r) {
-  maybe_auto_step(self);
   RegShard& sh = shard_of(r);
   const std::size_t li = r.value() & kLocalMask;
   check_access(self, sh.acl[li]);
@@ -1167,17 +1125,12 @@ inline std::uint64_t SimRuntime::env_read(SliceCtx& c, Pid self, RegId r) {
     ++main_.metrics.remote_reads_by_proc[self.index()];
   }
   trace_event(c, self, TraceEvent::Kind::kRegRead, r.value(), sh.values[li]);
-  if constexpr (Obs) ++c.obs.reg_touches[sh.keys[li].bits()];
-  if constexpr (Recording) {
-    c.scratch.footprint.add_read(sh.keys[li]);
-    obs_note(self, kObsRead, sh.values[li], c.scratch.sig);
-  }
+  if (record_footprints_ || record_obs_) [[unlikely]]
+    note_reg(c, self, sh.keys[li], TraceEvent::Kind::kRegRead, sh.values[li]);
   return sh.values[li];
 }
 
-template <bool Recording, bool Obs>
 inline void SimRuntime::env_write(SliceCtx& c, Pid self, RegId r, std::uint64_t v) {
-  maybe_auto_step(self);
   RegShard& sh = shard_of(r);
   const std::size_t li = r.value() & kLocalMask;
   if (c.injector != nullptr) [[unlikely]]
@@ -1192,15 +1145,13 @@ inline void SimRuntime::env_write(SliceCtx& c, Pid self, RegId r, std::uint64_t 
     ++main_.metrics.remote_writes_by_proc[self.index()];
   }
   trace_event(c, self, TraceEvent::Kind::kRegWrite, r.value(), v);
-  if constexpr (Obs) ++c.obs.reg_touches[sh.keys[li].bits()];
-  if constexpr (Recording) c.scratch.footprint.add_write(sh.keys[li]);
+  if (record_footprints_ || record_obs_) [[unlikely]]
+    note_reg(c, self, sh.keys[li], TraceEvent::Kind::kRegWrite, v);
   sh.values[li] = v;
 }
 
-template <bool Recording, bool Obs>
 inline std::uint64_t SimRuntime::env_cas(SliceCtx& c, Pid self, RegId r,
                                          std::uint64_t expected, std::uint64_t desired) {
-  maybe_auto_step(self);
   RegShard& sh = shard_of(r);
   const std::size_t li = r.value() & kLocalMask;
   // A CAS is a write-class mutation: fault rules keyed on register writes
@@ -1213,43 +1164,48 @@ inline std::uint64_t SimRuntime::env_cas(SliceCtx& c, Pid self, RegId r,
   if (sh.owner[li] == self.value()) ++c.metrics.reg_cas_local;
   const std::uint64_t old = sh.values[li];
   trace_event(c, self, TraceEvent::Kind::kRegCas, r.value(), old);
-  if constexpr (Obs) ++c.obs.reg_touches[sh.keys[li].bits()];
-  if constexpr (Recording) {
-    // A CAS both observes and (potentially) mutates: read+write footprint,
-    // with the observed old value as the observation. Whether the swap hit
-    // is a deterministic function of (old, expected), so old alone suffices.
-    c.scratch.footprint.add_read(sh.keys[li]);
-    c.scratch.footprint.add_write(sh.keys[li]);
-    obs_note(self, kObsCas, old, c.scratch.sig);
-  }
+  if (record_footprints_ || record_obs_) [[unlikely]]
+    note_reg(c, self, sh.keys[li], TraceEvent::Kind::kRegCas, old);
   if (old == expected) sh.values[li] = desired;
   return old;
 }
 
-template <bool Recording>
-bool SimRuntime::env_coin([[maybe_unused]] SliceCtx& c, Pid self) {
+void SimRuntime::note_reg(SliceCtx& c, Pid self, RegKey key, TraceEvent::Kind op,
+                          std::uint64_t value) {
+  if (record_obs_) ++c.obs.reg_touches[key.bits()];
+  if (!record_footprints_) return;
+  // A read observes the value it returns; a CAS both observes and
+  // (potentially) mutates: read+write footprint, with the observed old value
+  // as the observation. Whether the swap hit is a deterministic function of
+  // (old, expected), so old alone suffices. A write observes nothing.
+  StepFootprint& fp = c.scratch.footprint;
+  if (op != TraceEvent::Kind::kRegWrite) {
+    fp.add_read(key);
+    obs_note(self, op == TraceEvent::Kind::kRegRead ? kObsRead : kObsCas, value, c.scratch.sig);
+  }
+  if (op != TraceEvent::Kind::kRegRead) fp.add_write(key);
+}
+
+inline bool SimRuntime::env_coin(SliceCtx& c, Pid self) {
   const bool v = proc_rng_[self.index()].coin();
-  if constexpr (Recording) {
+  if (record_footprints_) [[unlikely]] {
     c.scratch.footprint.drew_rand = true;
     obs_note(self, kObsCoin, v ? 1 : 0, c.scratch.sig);
   }
   return v;
 }
 
-template <bool Recording>
-std::uint64_t SimRuntime::env_rand_below([[maybe_unused]] SliceCtx& c, Pid self,
-                                         std::uint64_t bound) {
+inline std::uint64_t SimRuntime::env_rand_below(SliceCtx& c, Pid self, std::uint64_t bound) {
   const std::uint64_t v = proc_rng_[self.index()].below(bound);
-  if constexpr (Recording) {
+  if (record_footprints_) [[unlikely]] {
     c.scratch.footprint.drew_rand = true;
     obs_note(self, kObsRand, v, c.scratch.sig);
   }
   return v;
 }
 
-template <bool Recording>
-Step SimRuntime::env_now(SliceCtx& c, [[maybe_unused]] Pid self) {
-  if constexpr (Recording) {
+inline Step SimRuntime::env_now(SliceCtx& c, Pid self) {
+  if (record_footprints_) [[unlikely]] {
     // Reading the clock makes the step depend on *every* other step (time
     // advances with each), so it is recorded as a global conflict.
     c.scratch.footprint.observed_clock = true;

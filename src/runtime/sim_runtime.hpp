@@ -22,9 +22,8 @@
 // small-buffer payloads (runtime/message.hpp) — a steady-state step performs
 // zero heap allocations. Both engines run the same Env backends against a
 // per-slice context (SliceCtx: clock, counters, trace ring, recorders);
-// sequential mode owns exactly one. Footprint recording instrumentation is
-// templated out of the non-recording Env backends (see SimEnv below), so the
-// no-checker code path contains none of it.
+// sequential mode owns exactly one. Footprint recording and observability
+// are cold branches inside each Env backend (see SimEnv below).
 #pragma once
 
 #include <atomic>
@@ -214,11 +213,11 @@ class SimRuntime {
   // touched (runtime/footprint.hpp) and folds everything the process
   // *observed* (read values, drained messages, coin draws, clock reads) into
   // a per-process rolling observation hash. The DPOR explorer in check/dpor.*
-  // consumes both. Off by default, and cheap by default: the instrumented
-  // code exists only in the Recording=true instantiation of the Env
-  // backends, which the non-recording path never executes — arming simply
-  // flips which instantiation the SimEnv facade dispatches to, so recording
-  // may still be armed after a deterministic warmup prefix.
+  // consumes both. Off by default, and cheap by default: each Env backend
+  // holds its instrumentation on an [[unlikely]] branch on
+  // record_footprints_ (the larger bodies out of line). The flag is read per
+  // call, so recording may still be armed after a deterministic warmup
+  // prefix.
 
   /// Arm/disarm per-step footprint + observation recording.
   void set_footprint_recording(bool on);
@@ -303,9 +302,10 @@ class SimRuntime {
   // -- sim-time observability (docs/RUNTIME.md "Observability") --------------
   /// Arm/disarm sim-time observability recording: delivery-latency,
   /// inbox-depth, pending-depth, and register-contention histograms. Like
-  /// footprint recording, the instrumentation exists only in the Obs=true
-  /// instantiations of the Env backends — disabled runs execute none of it
-  /// and trajectories are unchanged by arming (recording only observes).
+  /// footprint recording, the instrumentation sits on [[unlikely]] branches
+  /// of the Env backends — disabled runs skip it with one not-taken branch
+  /// per feed, and trajectories are unchanged by arming (recording only
+  /// observes).
   void set_observability(bool on) noexcept { record_obs_ = on; }
   [[nodiscard]] bool observability() const noexcept { return record_obs_; }
   /// Merge every context's recorder into one report, bit-identical at any
@@ -400,8 +400,26 @@ class SimRuntime {
            config_.sched_weight.empty() && trace_capacity_ == 0 && !record_footprints_ &&
            !record_obs_;
   }
-  /// Hand one step to process `pick` and park again, bookkeeping included.
+  /// Hand one step to process `pick` and park again, bookkeeping included
+  /// (sequential engine: run_slice, the runnable list and the clock).
   void activate(std::size_t pick);
+  /// One slice of process `pick` in context `c`, the body both engines
+  /// share: step count, kSchedule trace, footprint slice lifecycle, handoff
+  /// and the finished transition. Returns true when the body finished.
+  bool run_slice(SliceCtx& c, std::size_t pick) {
+    ++main_.metrics.steps_by_proc[pick];
+    trace_event(c, Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
+    if (record_footprints_) [[unlikely]]
+      begin_slice(pick, c.scratch);
+    resume_proc(pick);
+    const bool done = proc_finished_[pick] != 0;
+    if (record_footprints_) [[unlikely]] {
+      c.scratch.footprint.finishes = done;
+      end_slice(pick, c.scratch);
+    }
+    if (done) proc_state_[pick] = static_cast<std::uint8_t>(ProcState::kFinished);
+    return done;
+  }
   /// Devirtualised handoff: direct inline fiber switch when fiber-backed.
   void resume_proc(std::size_t i) {
     Fiber* f = fiber_[i];
@@ -443,7 +461,6 @@ class SimRuntime {
   /// Pop every message for `to` eligible at `c`'s clock straight into `out`
   /// (delivery order), maintaining pending_head_. `c` is `to`'s context: the
   /// drain runs in the destination's slice.
-  template <bool Obs>
   void drain_pending(SliceCtx& c, Pid to, std::vector<Message>& out);
   /// Apply the partition hold rule to a tentative delivery step; re-draws
   /// the post-window delay from `rng` (the link stream for originals, the
@@ -476,31 +493,21 @@ class SimRuntime {
   // Env backends (called from the running process thread; serialized by the
   // semaphore handoff — in partitioned mode by the per-partition handoff —
   // so no locking is needed). Each call runs against the calling process's
-  // slice context, so both engines run the same code. Templated on the
-  // recording policy and (for the channel/register calls) the observability
-  // policy: the <false, false> instantiations — the uninstrumented hot path
-  // — contain no footprint/observation code and no histogram feeds at all
-  // (compiled out, not branched around).
-  template <bool Recording, bool Obs>
+  // slice context, so both engines run the same code. One function per
+  // operation: footprint recording and observability are [[unlikely]]
+  // branches on record_footprints_ / record_obs_, so a disarmed call pays
+  // one predictable not-taken branch per feed. The register ops' auto-step
+  // yield happens in SimEnv, before the call.
   void env_send(SliceCtx& c, Pid from, Pid to, Message m);
-  template <bool Recording, bool Obs>
   void env_drain(SliceCtx& c, Pid self, std::vector<Message>& out);
   RegId env_reg(Pid self, RegKey key);
-  template <bool Recording, bool Obs>
   std::uint64_t env_read(SliceCtx& c, Pid self, RegId r);
-  template <bool Recording, bool Obs>
   void env_write(SliceCtx& c, Pid self, RegId r, std::uint64_t v);
-  template <bool Recording, bool Obs>
   std::uint64_t env_cas(SliceCtx& c, Pid self, RegId r, std::uint64_t expected,
                         std::uint64_t desired);
-  void env_step(Pid self);
-  template <bool Recording>
   bool env_coin(SliceCtx& c, Pid self);
-  template <bool Recording>
   std::uint64_t env_rand_below(SliceCtx& c, Pid self, std::uint64_t bound);
-  template <bool Recording>
   Step env_now(SliceCtx& c, Pid self);
-  void maybe_auto_step(Pid self);
 
   /// Scratch for the recording state of the slice in flight (one per slice
   /// context, so footprint recording composes with concurrent LP slices).
@@ -539,6 +546,15 @@ class SimRuntime {
   /// Fold one observation (tagged by kind) into `self`'s rolling observation
   /// hash and into the slice signature `sig` (for idle-slice collapse).
   void obs_note(Pid self, std::uint64_t tag, std::uint64_t value, std::uint64_t& sig);
+  /// Cold instrumentation of the Env backends, out of line so the disarmed
+  /// hot paths stay small enough to inline: each feeds whichever of
+  /// footprint recording and observability is armed. note_drain runs with
+  /// recording armed and folds every drained message; note_reg takes the
+  /// op as its trace kind (kRegRead, kRegWrite or kRegCas) and `value`
+  /// as the value read, written or observed.
+  void note_send(SliceCtx& c, Pid to, std::uint32_t copies);
+  void note_drain(SliceScratch& sc, Pid self, const std::vector<Message>& out);
+  void note_reg(SliceCtx& c, Pid self, RegKey key, TraceEvent::Kind op, std::uint64_t value);
   /// Slice lifecycle around ProcExec::resume() while recording is armed.
   void begin_slice(std::size_t pick, SliceScratch& sc);
   void end_slice(std::size_t pick, SliceScratch& sc);
@@ -564,7 +580,7 @@ class SimRuntime {
 
   // Per-process scheduler state, struct-of-arrays (hot; indexed by pid).
   std::vector<std::uint8_t> proc_state_;     ///< ProcState values
-  std::vector<std::uint8_t> proc_kill_;      ///< kill flag read by env_step
+  std::vector<std::uint8_t> proc_kill_;      ///< kill flag read by SimEnv::step
   std::vector<std::uint8_t> proc_finished_;  ///< set by the wrapper before its final yield
   std::vector<Fiber*> fiber_;  ///< devirtualised handoff; null under the thread backend
 
@@ -727,14 +743,12 @@ class SimRuntime {
 
 /// Per-process Env implementation; a thin facade over the runtime.
 ///
-/// The runtime's Env backends are member templates over a `Recording`
-/// policy: the <false> instantiation — the only one the no-checker hot path
-/// executes — contains no footprint/observation code at all (compiled out,
-/// not branched around). This facade selects the instantiation with a single
-/// top-of-call branch on the runtime's recording flag, which keeps
-/// set_footprint_recording armable after a deterministic warmup prefix (the
-/// instance corpus relies on that) while the instrumentation itself stays
-/// out of the non-recording code path entirely.
+/// Each method calls exactly one SimRuntime Env backend (or, for step(),
+/// holds the yield itself). The backends branch on the runtime's recording
+/// and observability flags per call, so set_footprint_recording stays
+/// armable after a deterministic warmup prefix (the instance corpus relies
+/// on that). Register ops yield through step() first when auto-step is on:
+/// that is the one yield path, fiber-backed or not.
 class SimEnv final : public Env {
  public:
   SimEnv(SimRuntime& rt, Pid self) : rt_(&rt), self_(self) {}
@@ -758,10 +772,11 @@ class SimEnv final : public Env {
 
   SimRuntime* rt_;
   Pid self_;
-  /// Bound by SimRuntime::start() when this process is fiber-backed: step()
-  /// — the single hottest Env call — then needs no runtime indirection at
-  /// all, just the inline switch and one kill-flag load.
+  /// Bound by SimRuntime::start(): step() — the single hottest Env call —
+  /// needs no runtime indirection, just the inline fiber switch (or the
+  /// thread backend's yield when fiber_ is null) and one kill-flag load.
   Fiber* fiber_ = nullptr;
+  ProcExec* exec_ = nullptr;
   const std::uint8_t* kill_flag_ = nullptr;
   /// This process's slice context, bound by start() from its pid: the
   /// runtime's one context in sequential mode, the owner LP's when

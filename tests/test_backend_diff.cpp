@@ -154,6 +154,30 @@ TEST(BackendDiff, TracesMatchEventForEvent) {
   }
 }
 
+TEST(BackendDiff, FastLoopMatchesGeneralLoop) {
+  // run_steps picks run_fast when every hook is disarmed and step_once
+  // otherwise; armed tracing changes nothing else, so the traced run takes
+  // the general loop and the untraced one the fast loop. They must agree.
+  for (const std::uint64_t seed : kSeeds) {
+    SimConfig crashes = base(5, seed);
+    crashes.crash_at.assign(5, std::nullopt);
+    crashes.crash_at[1] = 40;
+    crashes.crash_at[3] = 200;
+    SimConfig lossy = base(4, seed);
+    lossy.link_type = LinkType::kFairLossy;
+    lossy.drop_prob = 0.4;
+    for (const SimConfig& cfg : {base(4, seed), crashes, lossy}) {
+      const Snapshot general = run_mixed_workload(cfg, SimBackend::kCoroutine, true);
+      const Snapshot fast = run_mixed_workload(cfg, SimBackend::kCoroutine, false);
+      ASSERT_FALSE(general.trace.empty());
+      EXPECT_EQ(general.metrics, fast.metrics) << "seed " << seed;
+      EXPECT_EQ(general.regs, fast.regs) << "seed " << seed;
+      EXPECT_EQ(general.sums, fast.sums) << "seed " << seed;
+      EXPECT_EQ(general.now, fast.now) << "seed " << seed;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: whole algorithm trials decide identically on both backends.
 // ---------------------------------------------------------------------------

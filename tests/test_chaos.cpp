@@ -12,6 +12,7 @@
 #include "fault/json.hpp"
 #include "fault/shrink.hpp"
 #include "graph/generators.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace mm {
 namespace {
@@ -175,6 +176,87 @@ TEST(FaultEngine, OutOfRangeTargetIsInert) {
   EXPECT_EQ(out.rules_fired, 1u);
   EXPECT_FALSE(out.violation.has_value());
   EXPECT_TRUE(out.decided);
+}
+
+// ---------------------------------------------------------------------------
+// Hand-edited repro documents: reject or run, never abort
+// ---------------------------------------------------------------------------
+
+TEST(FaultJson, RejectsCasesNoTrialCanRun) {
+  // A consensus case that crashes every process.
+  ChaosCase c = base_case(4, Topology::kComplete);
+  c.f = 3;
+  EXPECT_EQ(case_from_json(case_to_json(c)), c);
+  for (const std::size_t f : {4u, 5u}) {
+    c.f = f;
+    EXPECT_THROW((void)case_from_json(case_to_json(c)), JsonError) << "f = " << f;
+  }
+  // An Ω case with a single process.
+  ChaosCase omega;
+  omega.kind = CaseKind::kOmega;
+  omega.n = 2;
+  EXPECT_EQ(case_from_json(case_to_json(omega)), omega);
+  omega.n = 1;
+  EXPECT_THROW((void)case_from_json(case_to_json(omega)), JsonError);
+}
+
+TEST(FaultEngine, FullRangeCrashWindowRuns) {
+  // Crash steps are drawn from [0, crash_window]; the full 64-bit range
+  // must be a legal draw, not a below(0) abort.
+  ChaosCase c = base_case(5, Topology::kComplete);
+  c.f = 1;
+  c.crash_window = ~Step{0};
+  const ChaosOutcome out = run_chaos_case(case_from_json(case_to_json(c)));
+  EXPECT_FALSE(out.violation.has_value());
+}
+
+TEST(FaultEngine, HugeWindowDurationsSaturate) {
+  // now + duration saturates instead of wrapping into the past.
+  constexpr Step kHuge = ~Step{0};
+  {
+    // A memory window that would wrap: stays open for the rest of the run.
+    ChaosCase c = base_case(5, Topology::kComplete);
+    c.oracles = {Oracle::kAgreement, Oracle::kValidity};
+    FaultRule r;
+    r.trigger = Trigger::kAtStep;
+    r.count = 10;
+    r.action = Action::kMemoryWindow;
+    r.target = Pid{1};
+    r.duration = kHuge;
+    c.rules.push_back(r);
+    const ChaosOutcome out = run_chaos_case(c);
+    EXPECT_EQ(out.rules_fired, 1u);
+    EXPECT_FALSE(out.violation.has_value());
+  }
+  {
+    // A certain-drop link burst that would wrap: armed, so it drops every
+    // message sent from step 10 on instead of none.
+    runtime::SimConfig cfg;
+    cfg.gsm = graph::complete(3);
+    cfg.seed = 5;
+    runtime::SimRuntime rt{cfg};
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      rt.add_process([p](runtime::Env& env) {
+        std::vector<runtime::Message> inbox;
+        for (int i = 0; i < 40; ++i) {
+          env.send(Pid{(p + 1) % 3}, runtime::Message{});
+          env.drain_inbox(inbox);
+          env.step();
+        }
+      });
+    }
+    FaultRule r;
+    r.trigger = Trigger::kAtStep;
+    r.count = 10;
+    r.action = Action::kLinkBurst;
+    r.duration = kHuge;
+    r.drop_prob = 1.0;
+    FaultEngine engine{{r}};
+    rt.set_fault_injector(&engine);
+    rt.run_until_all_done(10'000);
+    EXPECT_EQ(engine.fired_count(), 1u);
+    EXPECT_GT(rt.metrics().msgs_dropped, 100u);
+  }
 }
 
 // ---------------------------------------------------------------------------

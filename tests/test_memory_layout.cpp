@@ -209,10 +209,9 @@ TEST(AllocInvariant, SteadyStateStepsAreHeapFree) {
 }
 
 // Observability compiled in but DISARMED must stay off the heap too: the
-// recording instrumentation lives only in the Obs=true template
-// instantiations, so after arming (which allocates histograms and event
-// vectors) and disarming again, steady-state steps dispatch back onto the
-// Obs=false path and must allocate nothing.
+// recording feeds sit on branches taken only while the flag is armed, so
+// after arming (which allocates histograms and event vectors) and disarming
+// again, steady-state steps skip every feed and must allocate nothing.
 TEST(AllocInvariant, ObservabilityDisarmedStepsAreHeapFree) {
   if (!common::alloc_counting_active())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";

@@ -259,9 +259,10 @@ TEST(SimGolden, TrajectoryDigestsArePinned) {
   }
 }
 
+// Disarmed recording and armed observability only skip or take their
+// branches in the Env backends: both must produce the trajectory the pinned
+// recording runs produce.
 TEST(SimGolden, UnrecordedObservedRunsFollowTheSameTrajectory) {
-  // The non-recording and observing Env instantiations must produce the
-  // trajectory the pinned recording runs produce.
   for (const std::optional<std::uint32_t> k : {std::optional<std::uint32_t>{}, {1u}, {4u}}) {
     const Outcome recorded = run_cell(Cell{k, SimBackend::kCoroutine, true, false});
     const Outcome plain = run_cell(Cell{k, SimBackend::kCoroutine, false, false});
